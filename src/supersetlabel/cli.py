@@ -81,7 +81,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps1", type=float, default=None)
     p.add_argument("--gd-max-iters", dest="gd_max_iters", type=int, default=None)
     p.add_argument("--gd-grad-tol", dest="gd_grad_tol", type=float, default=None)
-    p.add_argument("--tau0", type=float, default=None)
+    p.add_argument("--tau0", type=float, default=None,
+                   help="initial step in the preconditioned metric, default 1")
     p.add_argument("--armijo-c", dest="armijo_c", type=float, default=None)
     p.add_argument("--backtrack-factor", dest="backtrack_factor", type=float,
                    default=None)
@@ -232,7 +233,7 @@ def cmd_fit(args) -> int:
     write_trace_csv(report, out / "trace.csv")
     with (out / "model_meta.txt").open("w") as f:
         f.write(f"n={ds.n}\nd={ds.d}\nc={ds.c}\nK={cfg.K}\n"
-                f"theta={_fmt(graph.theta)}\n")
+                f"theta={graph.theta:.17g}\n")
     with (out / "model_features.tsv").open("w") as f:
         for row in ds.features:
             f.write("\t".join(f"{v:.17g}" for v in row) + "\n")

@@ -34,7 +34,6 @@ class KnnGraph:
     K: int
     theta: float
     degrees: np.ndarray = field(init=False)
-    _lap_bound: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.W = sp.csr_matrix(self.W)
@@ -51,28 +50,6 @@ class KnnGraph:
     def laplacian_apply(self, F: np.ndarray) -> np.ndarray:
         """L @ F without materializing L."""
         return self.degrees[:, None] * F - self.W @ F
-
-    def lap_norm_bound(self, iters: int = 30) -> float:
-        """Estimate of the largest Laplacian eigenvalue via power iteration."""
-        if self._lap_bound is None:
-            n = self.n
-            if n == 0 or self.W.nnz == 0:
-                self._lap_bound = 0.0
-            else:
-                rng = np.random.default_rng(0)
-                v = rng.standard_normal(n)
-                v /= np.linalg.norm(v)
-                lam = 0.0
-                for _ in range(iters):
-                    w = self.laplacian_apply(v[:, None]).ravel()
-                    norm = np.linalg.norm(w)
-                    if norm == 0.0:
-                        break
-                    lam = float(v @ w)
-                    v = w / norm
-                # small safety margin; Armijo backtracking absorbs the rest
-                self._lap_bound = 1.1 * lam
-        return self._lap_bound
 
 
 def _knn_indices(features: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:

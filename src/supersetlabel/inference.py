@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .labelspace import encode
 
 
 @dataclass
@@ -69,6 +68,10 @@ def baseline_ambiguous_knn(ds_train: Dataset, x_t, K: int, theta: float) -> int:
     """Weighted kNN vote over the raw (undisambiguated) candidate vectors."""
     if theta <= 0:
         raise ValueError(f"kernel width must be positive, got {theta}")
-    Y = encode(ds_train).Y
     idx, w = _neighbor_weights(ds_train.features, x_t, K, theta)
-    return int(np.argmax(w @ Y[idx])) + 1
+    # only the neighbours' rows of Y: 1/|S_i| on each candidate set
+    Y = np.zeros((len(idx), ds_train.c))
+    for r, i in enumerate(idx):
+        s = ds_train.candidates[i]
+        Y[r, np.asarray(s) - 1] = 1.0 / len(s)
+    return int(np.argmax(w @ Y)) + 1

@@ -1,4 +1,4 @@
-"""ALM outer loop with a CCCP inner solver and backtracking gradient descent.
+"""ALM outer loop with a CCCP inner solver and preconditioned descent.
 
 Each outer loop minimizes the augmented Lagrangian over F at fixed
 multipliers (CCCP handles the concave discrimination term by linearizing it
@@ -43,8 +43,9 @@ class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
     gd_grad_tol and tau0 left as None are resolved at run time: the gradient
-    tolerance scales as 1e-6 * sqrt(n*c), and the initial stepsize comes
-    from a curvature bound 1 / (2 (2 lam_max(L) + 2 alpha + sigma + 2 beta)).
+    tolerance scales as 1e-6 * sqrt(n*c), and the initial step is 1 in the
+    metric of the Jacobi preconditioner (see gd_minimize), where a unit
+    step is the Newton step of the diagonal model.
     """
 
     alpha: float = 1000.0
@@ -89,12 +90,8 @@ class SolverConfig:
             return self.gd_grad_tol
         return 1e-6 * np.sqrt(n * c)
 
-    def resolved_tau0(self, graph: KnnGraph, sigma: float) -> float:
-        if self.tau0 is not None:
-            return self.tau0
-        bound = graph.lap_norm_bound()
-        return 1.0 / (2.0 * (2.0 * bound + 2.0 * self.alpha + sigma
-                             + 2.0 * self.beta))
+    def resolved_tau0(self) -> float:
+        return self.tau0 or 1.0
 
 
 @dataclass
@@ -145,10 +142,14 @@ def write_trace_csv(report: SolverReport, path) -> None:
 def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
                 graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
                 history: list[float] | None = None) -> np.ndarray:
-    """Minimize the linearized objective by Armijo-backtracked descent.
+    """Minimize the linearized objective by Jacobi-preconditioned descent.
 
-    A step tau*g is accepted when it decreases the surrogate by at least
-    armijo_c * tau * ||g||^2; tau shrinks geometrically otherwise, and after
+    The direction is d = g / P, where P is the surrogate's Hessian diagonal
+    2 deg + 2 alpha H + sigma [Lambda1 - sigma F > 0] plus sigma c for the
+    row-sum penalty (the largest eigenvalue of its sigma 1 1' block). P is
+    recomputed at every iterate because the clamp's active set moves. A
+    step tau*d is accepted when it decreases the surrogate by at least
+    armijo_c * tau * <g, d>; tau shrinks geometrically otherwise, and after
     an accepted step the next trial looks one backtrack factor further.
     Stops on a small gradient, the iteration budget, or stepsize underflow.
     When history is given, the surrogate value at every accepted iterate
@@ -156,8 +157,12 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     """
     p = cfg.params()
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
-    tau0 = cfg.resolved_tau0(graph, state.sigma)
+    tau0 = cfg.resolved_tau0()
     tau_cap = tau0 / _STEP_UNDERFLOW
+    sigma = state.sigma
+    # the part of the Hessian diagonal that does not depend on F
+    P_fixed = (2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H
+               + sigma * F_init.shape[1])
     F = F_init.copy()
     value = linearized_objective(F, F_t, state, graph, codec, p)
     if history is not None:
@@ -165,14 +170,15 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     trial = tau0
     for _ in range(cfg.gd_max_iters):
         g = cccp_gradient(F, F_t, state, graph, codec, p)
-        gnorm2 = float(np.sum(g * g))
-        if np.sqrt(gnorm2) <= grad_tol:
+        if np.sqrt(np.sum(g * g)) <= grad_tol:
             break
+        d = g / (P_fixed + sigma * (state.lambda1 - sigma * F > 0.0))
+        slope = float(np.sum(g * d))
         tau = trial
         while True:
-            F_new = F - tau * g
+            F_new = F - tau * d
             new_value = linearized_objective(F_new, F_t, state, graph, codec, p)
-            if new_value <= value - cfg.armijo_c * tau * gnorm2:
+            if new_value <= value - cfg.armijo_c * tau * slope:
                 break
             tau *= cfg.backtrack_factor
             if tau < _STEP_UNDERFLOW:

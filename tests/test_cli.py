@@ -3,7 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from supersetlabel.cli import EXIT_DATA, EXIT_OK, main
+from supersetlabel import Predictor, build_knn_graph, load_manifest, predict_batch
+from supersetlabel.cli import EXIT_DATA, EXIT_OK, main, read_kv_file
 
 
 def run_cli(*argv):
@@ -75,6 +76,29 @@ class TestPredict:
         pred_labels = [int(line.split(",")[1]) for line in lines[1:]]
         agree = np.mean(np.asarray(fit_labels) == np.asarray(pred_labels))
         assert agree >= 0.9
+
+    def test_model_round_trip_is_exact(self, synth_dir, tmp_path):
+        model = tmp_path / "model"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--out", str(model), "--theta", "auto",
+                       *FAST) == EXIT_OK
+        ds = load_manifest(synth_dir / "manifest.txt")
+        graph = build_knn_graph(ds, K=3, theta="auto")
+        meta = read_kv_file(model / "model_meta.txt")
+        assert float(meta["theta"]) == graph.theta
+
+        X = np.random.default_rng(3).normal(scale=3.0, size=(25, 2))
+        np.savetxt(tmp_path / "test.tsv", X, fmt="%.17g", delimiter="\t")
+        pred_path = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", str(model),
+                       "--features", str(tmp_path / "test.tsv"),
+                       "--out", str(pred_path)) == EXIT_OK
+        got = [int(line.split(",")[1]) for line in
+               pred_path.read_text().splitlines()[1:]]
+        onehot = np.loadtxt(model / "onehot.csv", delimiter=",", ndmin=2)
+        want, _ = predict_batch(
+            Predictor(ds.features, onehot, K=3, theta=graph.theta), X)
+        np.testing.assert_array_equal(got, want)
 
     def test_dimension_mismatch(self, synth_dir, tmp_path, capsys):
         model = tmp_path / "model"

@@ -124,6 +124,16 @@ class TestAlmFit:
         with pytest.raises(ValueError, match="empty"):
             alm_fit(edgeless_graph(0), encode(ds), SolverConfig())
 
+    def test_default_fit_converges_at_n3000(self):
+        # the reference generator at ten times the reference size
+        ds = make_synthetic(n=3000, c=3, d=2, sep=4.0, p_coocc=0.7,
+                            r_extra=1, seed=42)
+        graph = build_knn_graph(ds, K=5, theta="auto")
+        report = alm_fit(graph, encode(ds), SolverConfig())
+        assert report.converged
+        assert report.rowsum_resid <= 1e-3
+        assert report.min_entry >= -1e-4
+
     def test_nonfinite_iterate_reported(self, monkeypatch, rng):
         graph, codec = single_ambiguous_instance()
 
@@ -144,8 +154,7 @@ class TestCccp:
                      candidates=random_candidates(rng, 5, 2,
                                                   ensure_singleton=True), c=2)
         codec = encode(ds)
-        cfg = SolverConfig(alpha=10.0, beta=0.0, gd_grad_tol=1e-10,
-                           gd_max_iters=5000)
+        cfg = SolverConfig(alpha=10.0, beta=0.0, gd_grad_tol=1e-10)
         state = AlmState(F=codec.Y.copy(), lambda1=np.zeros((5, 2)),
                          lambda2=np.zeros(5), sigma=1.0)
         history = []
@@ -195,6 +204,35 @@ class TestCccp:
 
 
 class TestGd:
+    def test_no_inner_call_hits_the_cap_on_the_reference_run(self,
+                                                               monkeypatch):
+        # a call hits the cap when it computed gd_max_iters gradients and the
+        # last gradient norm is still above the tolerance
+        calls = []  # per gd_minimize call: [gradients, last gradient norm]
+        gd, grad = solver_module.gd_minimize, solver_module.cccp_gradient
+
+        def counted_gd(*args, **kwargs):
+            calls.append([0, np.nan])
+            return gd(*args, **kwargs)
+
+        def counted_grad(*args, **kwargs):
+            g = grad(*args, **kwargs)
+            calls[-1][0] += 1
+            calls[-1][1] = float(np.sqrt(np.sum(g * g)))
+            return g
+
+        monkeypatch.setattr(solver_module, "gd_minimize", counted_gd)
+        monkeypatch.setattr(solver_module, "cccp_gradient", counted_grad)
+        ds = make_synthetic(n=300, c=3, d=2, sep=4.0, p_coocc=0.7, r_extra=1,
+                            seed=42)
+        cfg = SolverConfig()
+        report = alm_fit(build_knn_graph(ds, K=5, theta="auto"), encode(ds),
+                         cfg)
+        tol = cfg.resolved_grad_tol(ds.n, ds.c)
+        hits = [n for n, norm in calls if n >= cfg.gd_max_iters and norm > tol]
+        assert report.converged and calls
+        assert not hits, f"{len(hits)} of {len(calls)} inner calls hit the cap"
+
     def test_stationary_point_unchanged(self):
         graph, codec = single_ambiguous_instance()
         cfg = SolverConfig(beta=0.0)
@@ -212,8 +250,7 @@ class TestGd:
         ds = Dataset(features=np.zeros((1, 2)), candidates=((1,),), c=2)
         codec = encode(ds)
         graph = edgeless_graph(1)
-        cfg = SolverConfig(alpha=alpha, beta=0.0, gd_grad_tol=1e-12,
-                           gd_max_iters=20000)
+        cfg = SolverConfig(alpha=alpha, beta=0.0, gd_grad_tol=1e-12)
         state = AlmState(F=codec.Y.copy(), lambda1=np.array([[0.1, l2]]),
                          lambda2=np.array([lam2]), sigma=sigma)
         out = gd_minimize(codec.Y.copy(), codec.Y.copy(), state, graph, codec,
