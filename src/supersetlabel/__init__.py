@@ -6,15 +6,6 @@ concave-convex inner solver) and classifies unseen examples by weighted
 nearest-neighbor voting over the disambiguated labels.
 """
 
-import os as _os
-import sys as _sys
-
-if "--deterministic" in _sys.argv:
-    # pin BLAS thread pools before numpy loads so reductions run serially
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-                 "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, "1")
-
 from .dataset import (
     DataFormatError,
     Dataset,

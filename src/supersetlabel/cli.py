@@ -93,7 +93,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="flat key=value file; explicit flags override it")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--deterministic", action="store_const", const=True,
-                   default=None, help="serial reductions, bit-reproducible")
+                   default=None,
+                   help="accepted and ignored: outputs are byte-identical "
+                        "across runs and BLAS thread counts without it")
     p.add_argument("--normalize", action="store_const", const=True,
                    default=None, help="scale feature rows to unit length")
 
@@ -213,6 +215,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """The header line, then one line per row: floats as _fmt, others by str."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                             for v in row) + "\n")
+
+
 def cmd_fit(args) -> int:
     merged = resolve_config(args)
     ds = _load_from_args(args, merged)
@@ -224,10 +235,8 @@ def cmd_fit(args) -> int:
     graph = build_knn_graph(ds, cfg.K, cfg.theta)
     report = alm_fit(graph, encode(ds), cfg)
 
-    with (out / "labels.csv").open("w") as f:
-        f.write("index,label\n")
-        for i, y in enumerate(report.labels, start=1):
-            f.write(f"{i},{y}\n")
+    _write_csv(out / "labels.csv", "index,label",
+               enumerate(report.labels, start=1))
     np.savetxt(out / "onehot.csv", report.onehot, fmt="%d", delimiter=",")
     np.savetxt(out / "fstar.csv", report.F_star, fmt="%.12g", delimiter=",")
     write_trace_csv(report, out / "trace.csv")
@@ -262,13 +271,9 @@ def cmd_predict(args) -> int:
             f"{train_features.shape[1]}"
         )
     labels, scores = predict_batch(predictor, X)
-    c = scores.shape[1]
-    with open(args.out, "w") as f:
-        f.write("index,predicted_label,"
-                + ",".join(f"score_{j}" for j in range(1, c + 1)) + "\n")
-        for i in range(len(labels)):
-            f.write(f"{i + 1},{labels[i]},"
-                    + ",".join(_fmt(s) for s in scores[i]) + "\n")
+    _write_csv(args.out, "index,predicted_label," + ",".join(
+        f"score_{j}" for j in range(1, scores.shape[1] + 1)),
+        ((i, y, *s) for i, (y, s) in enumerate(zip(labels, scores), start=1)))
     print(f"predict: wrote {len(labels)} predictions to {args.out}")
     return EXIT_OK
 
@@ -283,12 +288,9 @@ def cmd_cv(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(merged, "cv", out)
     result = cross_validate(ds, cfg, merged["seed"])
-    with (out / "results.csv").open("w") as f:
-        f.write("fold,train_acc,test_acc\n")
-        for fold, (tr, te) in enumerate(
-            zip(result.fold_train_acc, result.fold_test_acc), start=1
-        ):
-            f.write(f"{fold},{_fmt(tr)},{_fmt(te)}\n")
+    _write_csv(out / "results.csv", "fold,train_acc,test_acc",
+               ((fold, *accs) for fold, accs in enumerate(
+                   zip(result.fold_train_acc, result.fold_test_acc), start=1)))
     print(f"cv: train {result.mean_train:.3f} +/- {result.std_train:.3f}, "
           f"test {result.mean_test:.3f} +/- {result.std_test:.3f}")
     return EXIT_OK
@@ -306,12 +308,10 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(merged, "sweep", out)
     rows = sweep(ds, alphas, betas, Ks, cfg, merged["seed"])
-    with (out / "sweep.csv").open("w") as f:
-        f.write("alpha,beta,K,mean_train,std_train,mean_test,std_test\n")
-        for r in rows:
-            f.write(f"{_fmt(r.alpha)},{_fmt(r.beta)},{r.K},"
-                    f"{_fmt(r.mean_train)},{_fmt(r.std_train)},"
-                    f"{_fmt(r.mean_test)},{_fmt(r.std_test)}\n")
+    _write_csv(out / "sweep.csv",
+               "alpha,beta,K,mean_train,std_train,mean_test,std_test",
+               ((r.alpha, r.beta, r.K, r.mean_train, r.std_train, r.mean_test,
+                 r.std_test) for r in rows))
     print(f"sweep: {len(rows)} grid points written to {out / 'sweep.csv'}")
     return EXIT_OK
 
@@ -364,11 +364,10 @@ def cmd_friedman(args) -> int:
         print(f"  {name}: mean_rank={_fmt(rank)} "
               f"differs_from_best={rej}")
     if args.out:
-        with open(args.out, "w") as f:
-            f.write("method,mean_rank,differs_from_best\n")
-            for name, rank, rej in zip(names, result.mean_ranks,
-                                       result.reject_per_method):
-                f.write(f"{name},{_fmt(rank)},{str(rej).lower()}\n")
+        _write_csv(args.out, "method,mean_rank,differs_from_best",
+                   ((name, rank, str(rej).lower())
+                    for name, rank, rej in zip(names, result.mean_ranks,
+                                               result.reject_per_method)))
     return EXIT_OK
 
 

@@ -3,6 +3,9 @@
 Two examples are linked when either belongs to the K nearest neighbors of
 the other; edge weights come from a Gaussian kernel on Euclidean distance.
 The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
+
+`_nearest` is the one neighbor search of the package; the graph, `theta`
+and the test-time vote (inference.py) all rank rows through it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import scipy.sparse as sp
 
 from .dataset import Dataset
 
-# rows per block when scanning pairwise distances, bounds memory at block*n
-_BLOCK = 512
+# a scanned block holds about this many pairwise distances (512 KiB)
+_BLOCK_ENTRIES = 65536
 
 
 def gaussian_weight(x_i, x_k, theta: float) -> float:
@@ -43,37 +46,65 @@ class KnnGraph:
     def n(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def L(self) -> sp.csr_matrix:
-        return sp.csr_matrix(sp.diags(self.degrees) - self.W)
-
     def laplacian_apply(self, F: np.ndarray) -> np.ndarray:
         """L @ F without materializing L."""
         return self.degrees[:, None] * F - self.W @ F
 
 
-def _knn_indices(features: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of each row's K nearest other rows.
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum((a - b)^2) over the last axis, in the same order for every row."""
+    diff = a - b
+    return np.einsum("...d,...d->...", diff, diff)
 
-    Exact blockwise scan; ties broken by ascending index (stable sort).
+
+def _nearest(base: np.ndarray, query: np.ndarray, K: int,
+             skip_self: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and squared distances of the K nearest base rows of each query row.
+
+    Rows rank by squared Euclidean distance with ties to the lower index, and
+    each output row is ordered by (distance, index). With skip_self, query is
+    base and row i never lists itself, even when other rows coincide with it.
+    Candidates come from a blockwise scan of |q|^2 - 2 q.x + |x|^2; rows that
+    the scan cannot tell from the K-th nearest within its rounding error are
+    ranked by the direct sum((q - x)^2), and so are the distances returned, so
+    coincident points are exactly 0 apart and d2(i, k) == d2(k, i) bit for bit.
     """
-    n = features.shape[0]
-    sq = np.sum(features**2, axis=1)
-    nbr_idx = np.empty((n, K), dtype=int)
-    nbr_dist = np.empty((n, K), dtype=float)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        block = features[start:stop]
-        d2 = sq[start:stop, None] - 2.0 * block @ features.T + sq[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        for r in range(stop - start):
-            d2[r, start + r] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")[:, :K]
-        nbr_idx[start:stop] = order
-        nbr_dist[start:stop] = np.sqrt(
-            np.take_along_axis(d2, order, axis=1)
-        )
-    return nbr_idx, nbr_dist
+    n, m = base.shape[0], query.shape[0]
+    block = max(16, _BLOCK_ENTRIES // n)
+    base_sq = np.einsum("ij,ij->i", base, base)
+    query_sq = np.einsum("ij,ij->i", query, query)
+    # at least twice the rounding error of one scanned distance
+    slack = 4.0 * (base.shape[1] + 4) * np.finfo(float).eps * (
+        query_sq + base_sq.max())
+    idx = np.empty((m, K), dtype=np.intp)
+    d2 = np.empty((m, K))
+    for start in range(0, m, block):
+        stop = min(start + block, m)
+        q = query[start:stop]
+        rows = np.arange(stop - start)
+        scan = q @ base.T
+        scan *= -2.0
+        scan += query_sq[start:stop, None]
+        scan += base_sq
+        if skip_self:
+            scan[rows, start + rows] = np.inf
+        near = np.argpartition(scan, K - 1, axis=1)[:, :K]
+        band = scan <= (scan[rows, near[:, K - 1]] + slack[start:stop])[:, None]
+        for r in np.flatnonzero(np.count_nonzero(band, axis=1) > K):
+            cand = np.flatnonzero(band[r])
+            near[r] = cand[np.argsort(_sq_dist(base[cand], q[r]),
+                                      kind="stable")[:K]]
+        exact = _sq_dist(base[near], q[:, None, :])
+        order = np.lexsort((near, exact), axis=1)
+        idx[start:stop] = np.take_along_axis(near, order, axis=1)
+        d2[start:stop] = np.take_along_axis(exact, order, axis=1)
+    return idx, d2
+
+
+def _mean_distance(d2: np.ndarray) -> float:
+    """Mean of the distances, or 1.0 when all are zero (coincident points)."""
+    mean = float(np.sqrt(d2).mean())
+    return mean if mean > 0.0 else 1.0
 
 
 def auto_theta(ds: Dataset, K: int) -> float:
@@ -83,58 +114,28 @@ def auto_theta(ds: Dataset, K: int) -> float:
     """
     if ds.n < 2:
         raise ValueError("auto_theta needs at least 2 examples")
-    K = min(K, ds.n - 1)
-    _, dist = _knn_indices(ds.features, K)
-    mean = float(dist.mean())
-    return mean if mean > 0.0 else 1.0
+    _, d2 = _nearest(ds.features, ds.features, min(K, ds.n - 1), skip_self=True)
+    return _mean_distance(d2)
 
 
 def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGraph:
     """Build the OR-symmetrized K-nearest-neighbor graph over ds.
 
     An edge (i, k) exists iff i is among k's K nearest neighbors or vice
-    versa; both directions carry the same Gaussian weight, so W is exactly
-    symmetric by construction. Coincident examples get weight 1.
+    versa. Both directions carry the same Gaussian weight, because the kernel
+    returns bit-identical distances for (i, k) and (k, i), so W is exactly
+    symmetric. Coincident examples get weight 1. theta="auto" takes the mean
+    neighbor distance from the same scan.
     """
     n = ds.n
     if not 1 <= K <= n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
-    if theta == "auto":
-        theta = auto_theta(ds, K)
-    theta = float(theta)
+    nbr_idx, nbr_d2 = _nearest(ds.features, ds.features, K, skip_self=True)
+    theta = _mean_distance(nbr_d2) if theta == "auto" else float(theta)
     if theta <= 0:
         raise ValueError(f"kernel width must be positive, got {theta}")
 
-    nbr_idx, nbr_dist = _knn_indices(ds.features, K)
-    rows = np.repeat(np.arange(n), K)
-    cols = nbr_idx.ravel()
-    d2 = nbr_dist.ravel() ** 2
-
-    # keep one weight per undirected pair, then mirror it
-    lo = np.minimum(rows, cols)
-    hi = np.maximum(rows, cols)
-    pairs = {}
-    for a, b, dd in zip(lo, hi, d2):
-        pairs[(int(a), int(b))] = dd
-    if pairs:
-        pa = np.array([p[0] for p in pairs], dtype=int)
-        pb = np.array([p[1] for p in pairs], dtype=int)
-        pw = np.exp(-np.fromiter(pairs.values(), dtype=float)
-                    / (2.0 * theta * theta))
-        W = sp.coo_matrix(
-            (np.concatenate([pw, pw]),
-             (np.concatenate([pa, pb]), np.concatenate([pb, pa]))),
-            shape=(n, n),
-        ).tocsr()
-    else:
-        W = sp.csr_matrix((n, n))
-    return KnnGraph(W=W, K=K, theta=theta)
-
-
-def write_edge_list(graph: KnnGraph, path) -> None:
-    """Debug dump: one undirected edge per line as "i<TAB>k<TAB>w", 1-based."""
-    coo = graph.W.tocoo()
-    with open(path, "w") as f:
-        for i, k, w in zip(coo.row, coo.col, coo.data):
-            if i < k:
-                f.write(f"{i + 1}\t{k + 1}\t{w:.17g}\n")
+    w = np.exp(-nbr_d2 / (2.0 * theta * theta))
+    W = sp.csr_matrix((w.ravel(), nbr_idx.ravel(), np.arange(0, n * K + 1, K)),
+                      shape=(n, n))
+    return KnnGraph(W=W.maximum(W.T), K=K, theta=theta)

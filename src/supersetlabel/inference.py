@@ -2,9 +2,11 @@
 
 A test point collects the one-hot disambiguated label vectors of its K
 nearest training examples, weighted by the same Gaussian kernel used on the
-training graph, and takes the argmax. The ambiguous-kNN baseline does the
-same with the raw candidate vectors instead, serving as the
-no-disambiguation control.
+training graph, and takes the argmax. The neighbors come from the graph's
+search kernel under the same rule (ties to the lower index), and
+`predict_batch` scores the test points in fixed-size chunks; `predict` is
+the batch vote on one row. The ambiguous-kNN baseline does the same with
+the raw candidate vectors instead, serving as the no-disambiguation control.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
+from .graph import _nearest
+
+_CHUNK = 256  # test points scored together; bounds the scan's working set
 
 
 @dataclass
@@ -33,45 +38,48 @@ class Predictor:
             raise ValueError(f"kernel width must be positive, got {self.theta}")
 
 
-def _neighbor_weights(train_features: np.ndarray, x_t: np.ndarray, K: int,
-                      theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and Gaussian weights of x_t's K nearest training rows."""
-    n = train_features.shape[0]
+def _clamped(K: int, n: int) -> int:
+    """K, or n with a warning when K exceeds the n training examples."""
     if K > n:
         warnings.warn(f"K={K} exceeds {n} training examples; clamping",
                       stacklevel=3)
-        K = n
-    diff = train_features - np.asarray(x_t, dtype=float)[None, :]
-    d2 = np.sum(diff * diff, axis=1)
-    order = np.argsort(d2, kind="stable")[:K]
-    return order, np.exp(-d2[order] / (2.0 * theta * theta))
+        return n
+    return K
+
+
+def _vote(d2: np.ndarray, neighbor_rows: np.ndarray, theta: float) -> np.ndarray:
+    """Score rows: the neighbors' label rows summed with Gaussian weights."""
+    return np.einsum("mk,mkc->mc", np.exp(-d2 / (2.0 * theta * theta)),
+                     neighbor_rows)
 
 
 def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
     """Label and unnormalized score vector for one test point."""
-    idx, w = _neighbor_weights(p.train_features, x_t, p.K, p.theta)
-    scores = w @ p.onehot[idx]
-    return int(np.argmax(scores)) + 1, scores
+    labels, scores = predict_batch(p, [x_t])
+    return int(labels[0]), scores[0]
 
 
 def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and score matrix for a batch of test points."""
     X_t = np.asarray(X_t, dtype=float)
-    labels = np.empty(X_t.shape[0], dtype=int)
     scores = np.empty((X_t.shape[0], p.onehot.shape[1]))
-    for i, x in enumerate(X_t):
-        labels[i], scores[i] = predict(p, x)
-    return labels, scores
+    K = _clamped(p.K, p.train_features.shape[0])
+    for start in range(0, X_t.shape[0], _CHUNK):
+        idx, d2 = _nearest(p.train_features, X_t[start:start + _CHUNK], K,
+                           skip_self=False)
+        scores[start:start + _CHUNK] = _vote(d2, p.onehot[idx], p.theta)
+    return np.argmax(scores, axis=1) + 1, scores
 
 
 def baseline_ambiguous_knn(ds_train: Dataset, x_t, K: int, theta: float) -> int:
     """Weighted kNN vote over the raw (undisambiguated) candidate vectors."""
     if theta <= 0:
         raise ValueError(f"kernel width must be positive, got {theta}")
-    idx, w = _neighbor_weights(ds_train.features, x_t, K, theta)
+    idx, d2 = _nearest(ds_train.features, np.asarray([x_t], dtype=float),
+                       _clamped(K, ds_train.n), skip_self=False)
     # only the neighbours' rows of Y: 1/|S_i| on each candidate set
-    Y = np.zeros((len(idx), ds_train.c))
-    for r, i in enumerate(idx):
+    Y = np.zeros((idx.shape[1], ds_train.c))
+    for r, i in enumerate(idx[0]):
         s = ds_train.candidates[i]
         Y[r, np.asarray(s) - 1] = 1.0 / len(s)
-    return int(np.argmax(w @ Y)) + 1
+    return int(np.argmax(_vote(d2, Y[None], theta))) + 1

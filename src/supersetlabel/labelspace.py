@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -39,9 +38,8 @@ def encode(ds: Dataset) -> LabelCodec:
     H = np.ones((n, c))
     omega = []
     for i, s in enumerate(ds.candidates):
-        w = float(Fraction(1, len(s)))
         cols = np.asarray(s, dtype=int) - 1
-        Y[i, cols] = w
+        Y[i, cols] = 1.0 / len(s)
         H[i, cols] = 0.0
         omega.append(tuple(j for j in range(1, c + 1) if j not in s))
     return LabelCodec(Y=Y, H=H, omega=tuple(omega))

@@ -19,6 +19,27 @@ def random_symmetric_graph(rng, n, edge_prob=0.6, w_lo=0.1, w_hi=1.0):
     return KnnGraph(W=sp.csr_matrix(W), K=0, theta=1.0)
 
 
+def lattice(side):
+    """The side x side integer grid, one point per row."""
+    return np.array([(x, y) for x in range(side) for y in range(side)],
+                    dtype=float)
+
+
+def brute_knn(base, query, K, skip_self=False):
+    """Each query row's K nearest base rows, ordered by (squared distance,
+    index), and those squared distances; with skip_self, row i of query is
+    row i of base and is never its own neighbour."""
+    idx = np.empty((len(query), K), dtype=int)
+    d2 = np.empty((len(query), K))
+    for i, x in enumerate(query):
+        dist2 = np.sum((base - x) ** 2, axis=1)
+        if skip_self:
+            dist2[i] = np.inf
+        order = np.lexsort((np.arange(len(base)), dist2))[:K]
+        idx[i], d2[i] = order, dist2[order]
+    return idx, d2
+
+
 def random_candidates(rng, n, c, ensure_singleton=False):
     """Non-empty random candidate sets over 1..c."""
     cands = [

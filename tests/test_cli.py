@@ -1,8 +1,13 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import supersetlabel
 from supersetlabel import Predictor, build_knn_graph, load_manifest, predict_batch
 from supersetlabel.cli import EXIT_DATA, EXIT_OK, main, read_kv_file
 
@@ -129,6 +134,39 @@ class TestCv:
         lines = outs[0].decode().splitlines()
         assert lines[0] == "fold,train_acc,test_acc"
         assert len(lines) == 6
+
+
+def run_cli_process(threads, *argv):
+    """Run the CLI in a fresh interpreter with BLAS limited to threads."""
+    src = str(Path(supersetlabel.__file__).resolve().parents[1])
+    env = {**os.environ, "OMP_NUM_THREADS": threads,
+           "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "supersetlabel.cli", *argv],
+                          env=env, capture_output=True, timeout=300).returncode
+
+
+class TestThreadCounts:
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # at d = 10 every neighbour-scan block is a product large enough for
+        # the BLAS to split across threads
+        data = tmp_path / "data"
+        assert run_cli("synth", "--n", "300", "--c", "5", "--d", "10",
+                       "--sep", "4", "--p", "0.7", "--r", "1", "--seed", "11",
+                       "--out", str(data)) == EXIT_OK
+        outputs = []
+        for threads in ("1", "2"):
+            fit, cv = tmp_path / f"fit{threads}", tmp_path / f"cv{threads}"
+            assert run_cli_process(threads, "fit", "--manifest",
+                                   str(data / "manifest.txt"),
+                                   "--out", str(fit)) == EXIT_OK
+            assert run_cli_process(threads, "cv", "--manifest",
+                                   str(data / "manifest.txt"), "--seed", "3",
+                                   "--out", str(cv)) == EXIT_OK
+            outputs.append([(fit / "labels.csv").read_bytes(),
+                            (fit / "fstar.csv").read_bytes(),
+                            (cv / "results.csv").read_bytes()])
+        assert outputs[0] == outputs[1]
 
 
 class TestSweep:

@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from supersetlabel import Dataset, auto_theta, build_knn_graph, gaussian_weight
-from supersetlabel.graph import write_edge_list
 
-from conftest import random_symmetric_graph
+from conftest import brute_knn, lattice, random_symmetric_graph
 
 
 def point_dataset(points):
@@ -69,7 +69,8 @@ class TestBuildGraph:
         g = build_knn_graph(ds, K=4, theta="auto")
         diff = (g.W - g.W.T)
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
-        rowsums = np.asarray(g.L.sum(axis=1)).ravel()
+        L = sp.diags(g.degrees) - g.W
+        rowsums = np.asarray(L.sum(axis=1)).ravel()
         np.testing.assert_allclose(rowsums, 0.0, atol=1e-12)
 
     def test_positive_semidefinite(self, rng):
@@ -106,20 +107,36 @@ class TestBuildGraph:
     def test_laplacian_matches_sparse_matrix(self, rng):
         g = random_symmetric_graph(rng, 9)
         F = rng.normal(size=(9, 3))
-        np.testing.assert_allclose(g.laplacian_apply(F), g.L @ F, atol=1e-12)
+        L = sp.diags(g.degrees) - g.W
+        np.testing.assert_allclose(g.laplacian_apply(F), L @ F, atol=1e-12)
 
 
-class TestEdgeList:
-    def test_dump_format(self, tmp_path):
-        ds = point_dataset([[0.0], [1.0], [10.0]])
-        g = build_knn_graph(ds, K=1, theta=1.0)
-        path = tmp_path / "edges.txt"
-        write_edge_list(g, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2  # one line per undirected edge, 1-based ids
-        i, k, w = lines[0].split("\t")
-        assert (i, k) == ("1", "2")
-        assert float(w) == g.W[0, 1]
+class TestNeighborRule:
+    @pytest.mark.parametrize("K", [3, 4, 8])
+    @pytest.mark.parametrize("side", [7, 20])
+    def test_lattice_ties_match_brute_force(self, rng, side, K):
+        # on a shuffled lattice many rows tie at the K-th distance, and the
+        # lower index must win; the 20 x 20 grid spans several scan blocks
+        pts = rng.permutation(lattice(side))
+        n = len(pts)
+        g = build_knn_graph(point_dataset(pts), K=K, theta="auto")
+        idx, d2 = brute_knn(pts, pts, K, skip_self=True)
+        want = np.zeros((n, n))
+        want[np.repeat(np.arange(n), K), idx.ravel()] = np.exp(
+            -d2.ravel() / (2.0 * g.theta ** 2))
+        np.testing.assert_array_equal(g.W.toarray(), np.maximum(want, want.T))
+        assert g.theta == pytest.approx(np.sqrt(d2).mean(), rel=1e-12)
+
+    def test_coincident_points_link_to_lowest_other_index(self):
+        # copies of one point at rows 3, 150 and 298 of a cloud far from the
+        # origin, where the expanded-form distances of the copies round apart
+        for seed in range(5):
+            pts = np.random.default_rng(seed).normal(size=(300, 30)) + 30.0
+            pts[[150, 298]] = pts[3]
+            W = build_knn_graph(point_dataset(pts), K=1, theta=1.0).W.toarray()
+            assert W[3, 150] == 1.0 and W[3, 298] == 1.0
+            assert W[150, 298] == 0.0
+            assert np.all(np.diag(W) == 0.0)
 
 
 class TestAutoTheta:

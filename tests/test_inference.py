@@ -10,6 +10,9 @@ from supersetlabel import (
     predict,
     predict_batch,
 )
+from supersetlabel.inference import _CHUNK
+
+from conftest import brute_knn, lattice
 
 
 def onehot(labels, c):
@@ -93,6 +96,36 @@ class TestPredict:
         label2, scores2 = predict(p2, np.zeros(2))
         assert scores2[0] == scores2[1]
         assert label2 == 1  # score tie resolves to the smallest class index
+
+
+class TestNeighborRule:
+    @pytest.mark.parametrize("K", [3, 4, 8])
+    def test_lattice_vote_matches_brute_force(self, rng, K):
+        # queries on training points, at cell centres and on edge midpoints
+        # of a shuffled lattice, where neighbours tie at the K-th distance
+        train = rng.permutation(lattice(7))
+        labels = rng.integers(1, 4, size=len(train))
+        queries = np.vstack([train, lattice(6) + 0.5, lattice(6) + [0.5, 0.0]])
+        p = Predictor(train_features=train, onehot=onehot(labels, 3), K=K,
+                      theta=0.8)
+        got_labels, got_scores = predict_batch(p, queries)
+        idx, d2 = brute_knn(train, queries, K)
+        w = np.exp(-d2 / (2 * 0.8**2))
+        want = sum(w[:, k, None] * p.onehot[idx[:, k]] for k in range(K))
+        np.testing.assert_array_equal(got_scores, want)
+        np.testing.assert_array_equal(got_labels, np.argmax(want, axis=1) + 1)
+
+    def test_batch_over_chunks_equals_single_points(self, rng):
+        feats = rng.normal(size=(50, 3))
+        p = Predictor(train_features=feats,
+                      onehot=onehot(rng.integers(1, 4, size=50), 3), K=4,
+                      theta=0.9)
+        X = rng.normal(size=(2 * _CHUNK + 7, 3))
+        labels, scores = predict_batch(p, X)
+        for i, x in enumerate(X):
+            label, s = predict(p, x)
+            assert label == labels[i]
+            np.testing.assert_array_equal(s, scores[i])
 
 
 class TestBaseline:
