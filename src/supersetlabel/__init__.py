@@ -26,7 +26,7 @@ from .evaluation import (
     sweep,
     training_accuracy,
 )
-from .graph import KnnGraph, auto_theta, build_knn_graph, gaussian_weight
+from .graph import KnnGraph, auto_theta, build_knn_graph
 from .inference import Predictor, baseline_ambiguous_knn, predict, predict_batch
 from .labelspace import LabelCodec, encode
 from .objective import (
@@ -75,7 +75,6 @@ __all__ = [
     "cross_validate",
     "encode",
     "friedman_test",
-    "gaussian_weight",
     "gd_minimize",
     "lagrangian",
     "linearized_objective",

@@ -63,6 +63,15 @@ def cross_validate(ds: Dataset, cfg: SolverConfig, seed: int) -> CvResult:
     the disambiguated training labels and the kNN predictions on the held-out
     20% against ground truth.
     """
+    return _cross_validate(ds, cfg, seed, graphs={})
+
+
+def _cross_validate(ds: Dataset, cfg: SolverConfig, seed: int,
+                    graphs: dict) -> CvResult:
+    """cross_validate, taking each fold's graph from graphs[fold, cfg.K] and
+    building and storing it there when it is missing. The key leaves out
+    ds, seed and theta, so graphs must only be shared between calls that
+    agree on those."""
     if ds.truth is None:
         raise ValueError("cross validation requires ground-truth labels")
     plan = plan_splits(ds, seed)
@@ -72,7 +81,10 @@ def cross_validate(ds: Dataset, cfg: SolverConfig, seed: int) -> CvResult:
         tr, te = plan.train_indices(fold), plan.test_indices(fold)
         ds_tr = ds.subset(tr)
         try:
-            graph = build_knn_graph(ds_tr, cfg.K, cfg.theta)
+            key = fold, cfg.K
+            if key not in graphs:
+                graphs[key] = build_knn_graph(ds_tr, cfg.K, cfg.theta)
+            graph = graphs[key]
             report = alm_fit(graph, encode(ds_tr), cfg)
         except Exception as e:
             raise CrossValidationError(f"fold {fold}: {e}") from e
@@ -178,14 +190,19 @@ class SweepRow:
 
 def sweep(ds: Dataset, alphas, betas, Ks, cfg: SolverConfig,
           seed: int) -> list[SweepRow]:
-    """Cross-validate over the full alpha x beta x K grid."""
+    """Cross-validate over the full alpha x beta x K grid.
+
+    The graph depends on the fold and K only, so each is built once and
+    shared by every (alpha, beta).
+    """
+    graphs: dict = {}
     rows = []
     for alpha in alphas:
         for beta in betas:
             for K in Ks:
-                cv = cross_validate(
+                cv = _cross_validate(
                     ds, replace(cfg, alpha=float(alpha), beta=float(beta),
-                                K=int(K)), seed,
+                                K=int(K)), seed, graphs,
                 )
                 rows.append(SweepRow(
                     alpha=float(alpha), beta=float(beta), K=int(K),

@@ -21,14 +21,6 @@ from .dataset import Dataset
 _BLOCK_ENTRIES = 65536
 
 
-def gaussian_weight(x_i, x_k, theta: float) -> float:
-    """exp(-||x_i - x_k||^2 / (2 theta^2)), in (0, 1]."""
-    if theta <= 0:
-        raise ValueError(f"kernel width must be positive, got {theta}")
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_k, dtype=float)
-    return float(np.exp(-np.dot(diff, diff) / (2.0 * theta * theta)))
-
-
 @dataclass
 class KnnGraph:
     """Symmetric weighted adjacency W with degrees and Laplacian L = D - W."""

@@ -131,12 +131,11 @@ def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
     the nonnegativity penalty differentiable almost everywhere.
     """
     _check_dims(F, graph, codec)
-    r = F.sum(axis=1) - 1.0
-    return (
-        2.0 * graph.laplacian_apply(F)
-        + 2.0 * p.alpha * codec.H * (F - codec.Y)
-        - aux_m(F, state.lambda1, state.sigma)
-        - state.lambda2[:, None]
-        + state.sigma * r[:, None]
-        - 2.0 * p.beta * F_t
-    )
+    g = graph.laplacian_apply(F)
+    g *= 2.0
+    g += 2.0 * p.alpha * codec.H * (F - codec.Y)
+    g -= aux_m(F, state.lambda1, state.sigma)
+    g -= state.lambda2[:, None]
+    g += state.sigma * (F.sum(axis=1) - 1.0)[:, None]
+    g -= 2.0 * p.beta * F_t
+    return g

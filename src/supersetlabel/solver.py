@@ -152,8 +152,16 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     armijo_c * tau * <g, d>; tau shrinks geometrically otherwise, and after
     an accepted step the next trial looks one backtrack factor further.
     Stops on a small gradient, the iteration budget, or stepsize underflow.
-    When history is given, the surrogate value at every accepted iterate
-    (including the start) is appended.
+
+    The surrogate is never evaluated for the test. Its exact change along
+    -tau d is -tau <g, d> + tau^2 curv / 2 + excess, where curv is the
+    curvature of the smooth quadratic part along d (one Laplacian apply per
+    step) and excess >= 0 is what the nonnegativity clamp adds beyond its
+    tangent, a sum of nonnegative O(nc) terms per trial. The test compares
+    these small terms with (1 - armijo_c) tau <g, d> and so never subtracts
+    two large surrogate values, whose rounding error can exceed the decrease
+    being tested. When history is given, the surrogate value recomputed at
+    every accepted iterate (including the start) is appended.
     """
     p = cfg.params()
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
@@ -164,30 +172,44 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     P_fixed = (2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H
                + sigma * F_init.shape[1])
     F = F_init.copy()
-    value = linearized_objective(F, F_t, state, graph, codec, p)
     if history is not None:
-        history.append(value)
+        history.append(linearized_objective(F, F_t, state, graph, codec, p))
     trial = tau0
     for _ in range(cfg.gd_max_iters):
         g = cccp_gradient(F, F_t, state, graph, codec, p)
-        if np.sqrt(np.sum(g * g)) <= grad_tol:
+        if np.sqrt(np.vdot(g, g)) <= grad_tol:
             break
-        d = g / (P_fixed + sigma * (state.lambda1 - sigma * F > 0.0))
-        slope = float(np.sum(g * d))
+        arg = state.lambda1 - sigma * F
+        M = np.maximum(arg, 0.0)
+        d = g / (P_fixed + sigma * (arg > 0.0))
+        slope = np.vdot(g, d)
+        row_sums = d.sum(axis=1)
+        curv = (2.0 * np.vdot(d, graph.laplacian_apply(d))
+                + 2.0 * p.alpha * np.vdot(codec.H * d, d)
+                + sigma * np.vdot(row_sums, row_sums))
+        sigma_d = sigma * d
         tau = trial
         while True:
-            F_new = F - tau * d
-            new_value = linearized_objective(F_new, F_t, state, graph, codec, p)
-            if new_value <= value - cfg.armijo_c * tau * slope:
+            # the clamp argument moves from arg to b = arg + tau sigma d;
+            # with B = max(b, 0),
+            # excess = sum((B - M)^2 + 2 M max(-b, 0)) / (2 sigma)
+            b = arg + tau * sigma_d
+            B = np.maximum(b, 0.0)
+            B -= M
+            np.minimum(b, 0.0, out=b)
+            excess = (np.vdot(B, B) - 2.0 * np.vdot(M, b)) / (2.0 * sigma)
+            if 0.5 * tau * tau * curv + excess <= (
+                    1.0 - cfg.armijo_c) * tau * slope:
                 break
             tau *= cfg.backtrack_factor
             if tau < _STEP_UNDERFLOW:
                 warnings.warn("gradient step underflow; returning current "
                               "iterate", stacklevel=2)
                 return F
-        F, value = F_new, new_value
+        F -= tau * d
         if history is not None:
-            history.append(value)
+            history.append(linearized_objective(F, F_t, state, graph, codec,
+                                                p))
         # optimistic restart: look a bit further than the accepted step
         trial = min(tau / cfg.backtrack_factor, tau_cap)
     return F

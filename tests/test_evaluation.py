@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,9 +9,11 @@ from supersetlabel import (
     cross_validate,
     friedman_test,
     make_synthetic,
+    plan_splits,
     sweep,
     training_accuracy,
 )
+from supersetlabel import evaluation
 from supersetlabel.evaluation import (
     CrossValidationError,
     _rank_desc_with_ties,
@@ -200,6 +204,25 @@ class TestSweep:
         cv = cross_validate(CV_DS, CV_CFG, seed=5)
         assert rows[0].mean_train == cv.mean_train
         assert rows[0].mean_test == cv.mean_test
+
+    def test_graph_built_once_per_fold_and_K(self, monkeypatch):
+        built = []
+        build = evaluation.build_knn_graph
+
+        def counted(ds, K, theta):
+            built.append(K)
+            return build(ds, K, theta)
+
+        monkeypatch.setattr(evaluation, "build_knn_graph", counted)
+        rows = sweep(CV_DS, [10.0, 100.0], [0.0, 0.01], [3, 4], CV_CFG, seed=5)
+        n_folds = plan_splits(CV_DS, 5).n_folds
+        assert sorted(built) == [3] * n_folds + [4] * n_folds
+        for row in rows:
+            cv = cross_validate(CV_DS, replace(CV_CFG, alpha=row.alpha,
+                                               beta=row.beta, K=row.K), seed=5)
+            assert (row.mean_train, row.std_train, row.mean_test,
+                    row.std_test) == (cv.mean_train, cv.std_train,
+                                      cv.mean_test, cv.std_test)
 
     def test_grid_size(self):
         rows = sweep(CV_DS, [1000.0], [0.0, 0.01, 0.1], [3], CV_CFG, seed=5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from supersetlabel import Dataset, auto_theta, build_knn_graph, gaussian_weight
+from supersetlabel import Dataset, auto_theta, build_knn_graph
 
 from conftest import brute_knn, lattice, random_symmetric_graph
 
@@ -14,26 +14,26 @@ def point_dataset(points):
     return Dataset(features=pts, candidates=((1,),) * len(pts), c=1)
 
 
-class TestGaussianWeight:
-    def test_zero_distance(self):
-        assert gaussian_weight([1.0, 2.0], [1.0, 2.0], theta=0.7) == 1.0
-
+class TestEdgeWeight:
+    # W_ik = exp(-||x_i - x_k||^2 / (2 theta^2)); coincident points are
+    # covered by TestBuildGraph.test_duplicates_get_weight_one
     def test_distance_matching_width(self):
         # squared distance 2 theta^2 gives exactly exp(-1)
         theta = 1.3
-        x = np.zeros(2)
-        y = np.array([theta * math.sqrt(2.0), 0.0])
-        assert gaussian_weight(x, y, theta) == pytest.approx(math.exp(-1.0),
-                                                             rel=1e-12)
+        g = build_knn_graph(point_dataset([[0.0, 0.0],
+                                           [theta * math.sqrt(2.0), 0.0]]),
+                            K=1, theta=theta)
+        assert g.W[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_scalar_example(self):
         # ||(0,0)-(3,4)||^2 = 25, theta 5 -> exp(-25/50)
-        w = gaussian_weight([0.0, 0.0], [3.0, 4.0], theta=5.0)
-        assert w == pytest.approx(math.exp(-0.5), rel=1e-12)
+        g = build_knn_graph(point_dataset([[0.0, 0.0], [3.0, 4.0]]), K=1,
+                            theta=5.0)
+        assert g.W[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
-            gaussian_weight([0.0], [1.0], theta=0.0)
+            build_knn_graph(point_dataset([[0.0], [1.0]]), K=1, theta=0.0)
 
 
 class TestBuildGraph:
