@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from supersetlabel import Dataset, auto_theta, build_knn_graph
+from supersetlabel import (
+    Dataset,
+    Predictor,
+    auto_theta,
+    build_knn_graph,
+    predict,
+)
 
 from conftest import brute_knn, lattice, random_symmetric_graph
 
@@ -14,9 +20,18 @@ def point_dataset(points):
     return Dataset(features=pts, candidates=((1,),) * len(pts), c=1)
 
 
-class TestEdgeWeight:
-    # W_ik = exp(-||x_i - x_k||^2 / (2 theta^2)); coincident points are
-    # covered by TestBuildGraph.test_duplicates_get_weight_one
+class TestGaussianWeight:
+    # W_ik = exp(-||x_i - x_k||^2 / (2 theta^2)), read off the built graph
+    # and, at zero distance, off the test-time vote as well
+    def test_zero_distance(self):
+        pts = [[1.0, 2.0], [1.0, 2.0]]
+        g = build_knn_graph(point_dataset(pts), K=1, theta=0.7)
+        assert g.W[0, 1] == 1.0 and g.W[1, 0] == 1.0
+        p = Predictor(train_features=np.asarray(pts[:1]),
+                      onehot=np.ones((1, 1)), K=1, theta=0.7)
+        _, scores = predict(p, pts[1])
+        assert scores[0] == 1.0
+
     def test_distance_matching_width(self):
         # squared distance 2 theta^2 gives exactly exp(-1)
         theta = 1.3
