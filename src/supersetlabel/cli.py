@@ -81,11 +81,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps1", type=float, default=None)
     p.add_argument("--gd-max-iters", dest="gd_max_iters", type=int, default=None)
     p.add_argument("--gd-grad-tol", dest="gd_grad_tol", type=float, default=None)
-    p.add_argument("--tau0", type=float, default=None,
-                   help="initial step in the preconditioned metric, default 1")
-    p.add_argument("--armijo-c", dest="armijo_c", type=float, default=None)
-    p.add_argument("--backtrack-factor", dest="backtrack_factor", type=float,
-                   default=None)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:

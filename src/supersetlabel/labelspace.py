@@ -11,16 +11,15 @@ from .dataset import Dataset
 
 @dataclass
 class LabelCodec:
-    """Candidate matrix Y, complement mask H, and zero-index sets omega.
+    """Candidate matrix Y and its complement mask H.
 
     Y_ij = 1/|S_i| when label j is a candidate of example i, else 0; each
-    row sums to 1. H is the binary complement (H_ij = 1 iff Y_ij = 0), and
-    omega[i] lists the 1-based labels outside S_i.
+    row sums to 1. H is the binary complement (H_ij = 1 iff Y_ij = 0), so
+    the 1-based labels outside S_i are np.flatnonzero(H[i]) + 1.
     """
 
     Y: np.ndarray
     H: np.ndarray
-    omega: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -36,10 +35,8 @@ def encode(ds: Dataset) -> LabelCodec:
     n, c = ds.n, ds.c
     Y = np.zeros((n, c))
     H = np.ones((n, c))
-    omega = []
     for i, s in enumerate(ds.candidates):
         cols = np.asarray(s, dtype=int) - 1
         Y[i, cols] = 1.0 / len(s)
         H[i, cols] = 0.0
-        omega.append(tuple(j for j in range(1, c + 1) if j not in s))
-    return LabelCodec(Y=Y, H=H, omega=tuple(omega))
+    return LabelCodec(Y=Y, H=H)

@@ -8,9 +8,14 @@ The primal problem over the n x c label matrix F is
 where "." is the elementwise product. The constraints enter through an
 augmented Lagrangian with a clamped multiplier M = max(0, Lambda1 - sigma F)
 for nonnegativity and a vector multiplier Lambda2 plus quadratic penalty for
-the row-sum normalization. The nonconvex -beta ||F||_F^2 part is handled by
-linearizing it at a reference point F_t, which yields the convex surrogate
-minimized by gradient descent.
+the row-sum normalization. CCCP handles the concave -beta ||F||_F^2 part by
+replacing it with its tangent at a reference point F_t, which turns the
+Lagrangian into the convex surrogate
+
+    linearized_objective(F, F_t) = lagrangian(F) + beta ||F - F_t||_F^2,
+
+an upper bound that touches the Lagrangian at F = F_t; lagrangian() is the
+surrogate evaluated at F_t = F.
 """
 
 from __future__ import annotations
@@ -82,44 +87,33 @@ def aux_m(F: np.ndarray, lambda1: np.ndarray, sigma: float) -> np.ndarray:
     return np.maximum(0.0, lambda1 - sigma * F)
 
 
-def _constraint_terms(F: np.ndarray, lambda1: np.ndarray, lambda2: np.ndarray,
-                      sigma: float) -> float:
-    M = aux_m(F, lambda1, sigma)
+def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
+                         graph: KnnGraph, codec: LabelCodec,
+                         p: ObjectiveParams) -> float:
+    """CCCP surrogate: the Lagrangian at F plus beta ||F - F_t||^2.
+
+    The added term replaces the concave -beta ||F||^2 by its tangent at F_t,
+    so the surrogate is convex, bounds the Lagrangian from above and equals
+    it at F = F_t.
+    """
+    primal = primal_objective(F, graph, codec, p)  # checks the dimensions
+    step = F - F_t
+    M = aux_m(F, state.lambda1, state.sigma)
     r = F.sum(axis=1) - 1.0
     return (
-        (np.sum(M * M) - np.sum(lambda1 * lambda1)) / (2.0 * sigma)
-        - float(lambda2 @ r)
-        + 0.5 * sigma * float(r @ r)
+        primal
+        + p.beta * float(np.sum(step * step))
+        + ((np.sum(M * M) - np.sum(state.lambda1 * state.lambda1))
+           / (2.0 * state.sigma)
+           - float(state.lambda2 @ r)
+           + 0.5 * state.sigma * float(r @ r))
     )
 
 
 def lagrangian(state: AlmState, graph: KnnGraph, codec: LabelCodec,
                p: ObjectiveParams) -> float:
     """Augmented Lagrangian at the state's F and multipliers."""
-    _check_dims(state.F, graph, codec)
-    return primal_objective(state.F, graph, codec, p) + _constraint_terms(
-        state.F, state.lambda1, state.lambda2, state.sigma
-    )
-
-
-def convex_part(F: np.ndarray, state: AlmState, graph: KnnGraph,
-                codec: LabelCodec, p: ObjectiveParams) -> float:
-    """The Lagrangian without its concave -beta ||F||^2 term."""
-    _check_dims(F, graph, codec)
-    smooth = float(np.sum(F * graph.laplacian_apply(F)))
-    resid = codec.H * (F - codec.Y)
-    fidelity = p.alpha * float(np.sum(resid * resid))
-    return smooth + fidelity + _constraint_terms(
-        F, state.lambda1, state.lambda2, state.sigma
-    )
-
-
-def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
-                         graph: KnnGraph, codec: LabelCodec,
-                         p: ObjectiveParams) -> float:
-    """Convex surrogate: the concave term replaced by its tangent at F_t."""
-    tangent = p.beta * (np.sum(F_t * F_t) + 2.0 * np.sum(F_t * (F - F_t)))
-    return convex_part(F, state, graph, codec, p) - float(tangent)
+    return linearized_objective(state.F, state.F, state, graph, codec, p)
 
 
 def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,

@@ -1,9 +1,10 @@
 """ALM outer loop with a CCCP inner solver and preconditioned descent.
 
 Each outer loop minimizes the augmented Lagrangian over F at fixed
-multipliers (CCCP handles the concave discrimination term by linearizing it
-and solving the convex surrogate with gradient descent), then applies the
-standard multiplier updates
+multipliers (CCCP replaces the concave discrimination term by its tangent at
+the current iterate F_t, which turns the Lagrangian into the convex surrogate
+Lagrangian + beta ||F - F_t||^2, and minimizes that by preconditioned
+descent), then applies the standard multiplier updates
 
     Lambda1 <- max(0, Lambda1 - sigma F)
     Lambda2 <- Lambda2 - sigma (F 1_c - 1_n)
@@ -31,6 +32,8 @@ from .objective import (
     linearized_objective,
 )
 
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 _STEP_UNDERFLOW = 1e-16
 
 
@@ -42,10 +45,9 @@ class SolverDivergenceError(RuntimeError):
 class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
-    gd_grad_tol and tau0 left as None are resolved at run time: the gradient
-    tolerance scales as 1e-6 * sqrt(n*c), and the initial step is 1 in the
-    metric of the Jacobi preconditioner (see gd_minimize), where a unit
-    step is the Newton step of the diagonal model.
+    A gd_grad_tol left as None is resolved at run time to 1e-6 * sqrt(n*c).
+    The line search of the inner descent has fixed constants, not knobs
+    (see gd_minimize).
     """
 
     alpha: float = 1000.0
@@ -61,26 +63,23 @@ class SolverConfig:
     eps1: float = 1e-4
     gd_max_iters: int = 200
     gd_grad_tol: float | None = None
-    tau0: float | None = None
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
 
     def __post_init__(self):
         if self.rho <= 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not 0 < self.sigma0 <= self.sigma_cap:
+        if not 0 < self.sigma0 <= self.sigma_cap <= SIGMA_CAP:
             raise ValueError(
-                f"sigma0 must be in (0, {self.sigma_cap:g}], got {self.sigma0}"
+                f"need 0 < sigma0 <= sigma_cap <= {SIGMA_CAP:g}, got "
+                f"sigma0={self.sigma0}, sigma_cap={self.sigma_cap}"
             )
-        for name in ("eps0", "eps1", "armijo_c"):
+        for name in ("t_max", "loop_max", "gd_max_iters"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("eps0", "eps1"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must be in (0, 1)")
-        for name in ("gd_grad_tol", "tau0"):
-            v = getattr(self, name)
-            if v is not None and not (0 < v < np.inf):
-                raise ValueError(f"{name} must be finite and positive")
+        if self.gd_grad_tol is not None and not 0 < self.gd_grad_tol < np.inf:
+            raise ValueError("gd_grad_tol must be finite and positive")
 
     def params(self) -> ObjectiveParams:
         return ObjectiveParams(alpha=self.alpha, beta=self.beta)
@@ -89,9 +88,6 @@ class SolverConfig:
         if self.gd_grad_tol is not None:
             return self.gd_grad_tol
         return 1e-6 * np.sqrt(n * c)
-
-    def resolved_tau0(self) -> float:
-        return self.tau0 or 1.0
 
 
 @dataclass
@@ -147,26 +143,27 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     The direction is d = g / P, where P is the surrogate's Hessian diagonal
     2 deg + 2 alpha H + sigma [Lambda1 - sigma F > 0] plus sigma c for the
     row-sum penalty (the largest eigenvalue of its sigma 1 1' block). P is
-    recomputed at every iterate because the clamp's active set moves. A
-    step tau*d is accepted when it decreases the surrogate by at least
-    armijo_c * tau * <g, d>; tau shrinks geometrically otherwise, and after
-    an accepted step the next trial looks one backtrack factor further.
-    Stops on a small gradient, the iteration budget, or stepsize underflow.
+    recomputed at every iterate because the clamp's active set moves. The
+    surrogate is the Lagrangian plus beta ||F - F_t||^2. A step tau*d is
+    accepted when it decreases the surrogate by at least _ARMIJO_C * tau *
+    <g, d> (_ARMIJO_C = 1e-4); tau starts at 1, the Newton step of the
+    diagonal model, and is halved (_BACKTRACK = 0.5) while the test fails,
+    and after an accepted step the next trial is twice that step. Stops on a small gradient, the iteration budget
+    gd_max_iters, or stepsize underflow below 1e-16.
 
     The surrogate is never evaluated for the test. Its exact change along
     -tau d is -tau <g, d> + tau^2 curv / 2 + excess, where curv is the
     curvature of the smooth quadratic part along d (one Laplacian apply per
     step) and excess >= 0 is what the nonnegativity clamp adds beyond its
     tangent, a sum of nonnegative O(nc) terms per trial. The test compares
-    these small terms with (1 - armijo_c) tau <g, d> and so never subtracts
+    these small terms with (1 - _ARMIJO_C) tau <g, d> and so never subtracts
     two large surrogate values, whose rounding error can exceed the decrease
     being tested. When history is given, the surrogate value recomputed at
     every accepted iterate (including the start) is appended.
     """
     p = cfg.params()
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
-    tau0 = cfg.resolved_tau0()
-    tau_cap = tau0 / _STEP_UNDERFLOW
+    tau_cap = 1.0 / _STEP_UNDERFLOW
     sigma = state.sigma
     # the part of the Hessian diagonal that does not depend on F
     P_fixed = (2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H
@@ -174,7 +171,7 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     F = F_init.copy()
     if history is not None:
         history.append(linearized_objective(F, F_t, state, graph, codec, p))
-    trial = tau0
+    trial = 1.0
     for _ in range(cfg.gd_max_iters):
         g = cccp_gradient(F, F_t, state, graph, codec, p)
         if np.sqrt(np.vdot(g, g)) <= grad_tol:
@@ -199,9 +196,9 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
             np.minimum(b, 0.0, out=b)
             excess = (np.vdot(B, B) - 2.0 * np.vdot(M, b)) / (2.0 * sigma)
             if 0.5 * tau * tau * curv + excess <= (
-                    1.0 - cfg.armijo_c) * tau * slope:
+                    1.0 - _ARMIJO_C) * tau * slope:
                 break
-            tau *= cfg.backtrack_factor
+            tau *= _BACKTRACK
             if tau < _STEP_UNDERFLOW:
                 warnings.warn("gradient step underflow; returning current "
                               "iterate", stacklevel=2)
@@ -211,7 +208,7 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
             history.append(linearized_objective(F, F_t, state, graph, codec,
                                                 p))
         # optimistic restart: look a bit further than the accepted step
-        trial = min(tau / cfg.backtrack_factor, tau_cap)
+        trial = min(tau / _BACKTRACK, tau_cap)
     return F
 
 

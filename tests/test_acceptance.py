@@ -134,7 +134,7 @@ def grid_search_minimum(graph, codec, p, step=0.01):
             if W[i, k] > 0:
                 total += W[i, k] * 2.0 * (F1[:, i] - F1[:, k]) ** 2
     for i in range(n):
-        for j in codec.omega[i]:
+        for j in np.flatnonzero(codec.H[i]) + 1:
             col = F1[:, i] if j == 1 else F2[:, i]
             total += p.alpha * col**2
     total -= p.beta * np.sum(F1**2 + F2**2, axis=1)
@@ -261,7 +261,7 @@ def test_criterion_9_objective_form_equivalence():
         )
         fidelity = p.alpha * sum(
             (F[i, j - 1] - codec.Y[i, j - 1]) ** 2
-            for i in range(n) for j in codec.omega[i]
+            for i in range(n) for j in np.flatnonzero(codec.H[i]) + 1
         )
         scalar = smooth + fidelity - p.beta * float(np.sum(F**2))
         matrix = primal_objective(F, graph, codec, p)

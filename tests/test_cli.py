@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -9,7 +11,9 @@ import pytest
 
 import supersetlabel
 from supersetlabel import Predictor, build_knn_graph, load_manifest, predict_batch
-from supersetlabel.cli import EXIT_DATA, EXIT_OK, main, read_kv_file
+from supersetlabel.cli import (EXIT_DATA, EXIT_OK, build_parser, main,
+                               read_kv_file)
+from supersetlabel.solver import SolverConfig
 
 
 def run_cli(*argv):
@@ -257,6 +261,18 @@ class TestConfigHandling:
                        "--out", str(tmp_path / "out"))
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith("error: code=DATA")
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "sweep"])
+    def test_solver_flags_match_config_fields(self, command):
+        # the solver knobs are listed both in SolverConfig and in the CLI;
+        # every field needs a flag, and a flag that is not a field is ignored
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices[command]._actions}
+        other = {"help", "config", "seed", "deterministic", "normalize",
+                 "features", "candidates", "truth", "manifest", "out", "grid"}
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert dests - other == fields
 
     def test_unknown_flag_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,7 +16,6 @@ from supersetlabel import (
     primal_objective,
 )
 from supersetlabel.graph import KnnGraph
-from supersetlabel.objective import convex_part
 
 from conftest import random_instance, random_state
 
@@ -31,7 +32,7 @@ def scalar_form_objective(F, graph, codec, p):
             )
     fidelity = 0.0
     for i in range(n):
-        for j in codec.omega[i]:
+        for j in np.flatnonzero(codec.H[i]) + 1:
             fidelity += (F[i, j - 1] - codec.Y[i, j - 1]) ** 2
     disc = sum(F[i, j] ** 2 for i in range(n) for j in range(c))
     return smooth + p.alpha * fidelity - p.beta * disc
@@ -82,7 +83,7 @@ def two_node_instance():
 
 class TestPrimal:
     def test_hand_computed_two_nodes(self):
-        # smoothness 0 (equal rows), fidelity 0 (F zero on all omega entries),
+        # smoothness 0 (equal rows), fidelity 0 (F zero outside the candidates),
         # discrimination -0.01 * (1 + 1)
         graph, codec = two_node_instance()
         F = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -173,14 +174,35 @@ class TestLagrangian:
             assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
     def test_convex_concave_split(self, rng):
-        # J1(F) - J2(F) equals the Lagrangian, with J2 = beta ||F||^2
+        # J1(F) - J2(F) equals the Lagrangian, with J2 = beta ||F||^2 and J1
+        # the surrogate linearized at F_t = 0
         for _ in range(5):
             graph, codec, p = random_instance(rng)
             state = random_state(rng, codec.n, codec.c)
-            j1 = convex_part(state.F, state, graph, codec, p)
+            j1 = linearized_objective(state.F, np.zeros_like(state.F), state,
+                                      graph, codec, p)
             j2 = p.beta * float(np.sum(state.F**2))
             assert j1 - j2 == pytest.approx(
                 lagrangian(state, graph, codec, p), rel=1e-10, abs=1e-10)
+
+    def test_surrogate_adds_proximal_term(self, rng):
+        # the CCCP surrogate is the Lagrangian plus beta ||F - F_t||^2
+        for _ in range(10):
+            graph, codec, p = random_instance(rng)
+            state = random_state(rng, codec.n, codec.c)
+            F_t = rng.normal(size=state.F.shape)
+            gap = (linearized_objective(state.F, F_t, state, graph, codec, p)
+                   - lagrangian(state, graph, codec, p))
+            assert gap == pytest.approx(
+                p.beta * float(np.sum((state.F - F_t) ** 2)), rel=1e-10)
+
+    def test_surrogate_touches_lagrangian_exactly(self, rng):
+        for _ in range(10):
+            graph, codec, p = random_instance(rng)
+            state = random_state(rng, codec.n, codec.c)
+            F = rng.normal(size=state.F.shape)
+            assert (linearized_objective(F, F, state, graph, codec, p)
+                    == lagrangian(replace(state, F=F), graph, codec, p))
 
     def test_clamp_term_exactly_zero(self, rng):
         graph, codec, p = random_instance(rng, n=4, c=2)
@@ -244,20 +266,24 @@ class TestGradient:
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
     def test_taylor_consistency_at_linearization_point(self, rng):
-        # at F = F_t the gradient is d(convex part)/dF minus 2 beta F_t
+        # at F = F_t the gradient is d(convex part)/dF minus 2 beta F_t, where
+        # the convex part is the surrogate linearized at F_t = 0
         graph, codec, p = random_instance(rng, n=5, c=3)
         state = random_state(rng, 5, 3)
         F_t = rng.normal(size=(5, 3))
         g = cccp_gradient(F_t, F_t, state, graph, codec, p)
         fd = np.zeros_like(F_t)
+        zero = np.zeros_like(F_t)
         for i in range(5):
             for j in range(3):
                 h = 1e-6 * (1.0 + abs(F_t[i, j]))
                 Fp, Fm = F_t.copy(), F_t.copy()
                 Fp[i, j] += h
                 Fm[i, j] -= h
-                fd[i, j] = (convex_part(Fp, state, graph, codec, p)
-                            - convex_part(Fm, state, graph, codec, p)) / (2 * h)
+                fd[i, j] = (
+                    linearized_objective(Fp, zero, state, graph, codec, p)
+                    - linearized_objective(Fm, zero, state, graph, codec, p)
+                ) / (2 * h)
         np.testing.assert_allclose(g, fd - 2.0 * p.beta * F_t,
                                    rtol=1e-4, atol=1e-6)
 

@@ -19,6 +19,7 @@ from supersetlabel import (
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
+from supersetlabel.objective import SIGMA_CAP
 
 from conftest import random_candidates, random_symmetric_graph
 
@@ -283,11 +284,13 @@ class TestGd:
         f11 = 1.0 + lam2 / sigma - f12
         np.testing.assert_allclose(out, [[f11, f12]], atol=1e-6)
 
-    def test_underflow_returns_current_iterate(self, rng):
-        # armijo_c = 1 can never be satisfied on a strictly convex surrogate,
-        # so backtracking shrinks to underflow and hands back the iterate
+    def test_underflow_returns_current_iterate(self, rng, monkeypatch):
+        # an Armijo fraction of 1 can never be satisfied on a strictly convex
+        # surrogate, so backtracking shrinks to underflow and hands back the
+        # iterate
+        monkeypatch.setattr(solver_module, "_ARMIJO_C", 1.0)
         graph, codec = single_ambiguous_instance()
-        cfg = SolverConfig(armijo_c=1.0, beta=0.0)
+        cfg = SolverConfig(beta=0.0)
         F = np.array([[2.0, -1.0]])
         state = AlmState(F=F, lambda1=np.zeros((1, 2)), lambda2=np.zeros(1),
                          sigma=1.0)
@@ -341,13 +344,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(sigma0=1e9)
 
-    def test_invalid_backtrack(self):
+    def test_sigma_cap_within_state_bound(self):
+        # sigma0 <= sigma_cap <= SIGMA_CAP, the bound AlmState enforces
         with pytest.raises(ValueError):
-            SolverConfig(backtrack_factor=1.0)
+            SolverConfig(sigma0=9e7, sigma_cap=1e9)
+        with pytest.raises(ValueError):
+            SolverConfig(sigma_cap=0.5)
+        SolverConfig(sigma0=SIGMA_CAP, sigma_cap=SIGMA_CAP)
 
-    def test_invalid_tau0(self):
+    @pytest.mark.parametrize("name", ["t_max", "loop_max", "gd_max_iters"])
+    def test_loop_budgets_at_least_one(self, name):
         with pytest.raises(ValueError):
-            SolverConfig(tau0=np.inf)
+            SolverConfig(**{name: 0})
+        SolverConfig(**{name: 1})
 
     def test_resolved_grad_tol_scaling(self):
         cfg = SolverConfig()
