@@ -45,7 +45,6 @@ from .solver import (
     alm_fit,
     cccp_minimize,
     gd_minimize,
-    write_trace_csv,
 )
 
 __version__ = "0.1.0"
@@ -89,5 +88,4 @@ __all__ = [
     "save_dataset",
     "sweep",
     "training_accuracy",
-    "write_trace_csv",
 ]

@@ -24,63 +24,53 @@ from .dataset import (
     load_manifest,
     make_synthetic,
     normalize_unit_length,
+    read_features,
+    read_kv_file,
     save_dataset,
+    write_features,
+    write_kv_file,
 )
 from .evaluation import cross_validate, friedman_test, sweep
 from .graph import build_knn_graph
 from .inference import Predictor, predict_batch
 from .labelspace import encode
-from .solver import SolverConfig, SolverDivergenceError, alm_fit, write_trace_csv
+from .solver import TRACE_HEADER, SolverConfig, SolverDivergenceError, alm_fit
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
-_SOLVER_FIELDS = {f.name for f in dataclasses.fields(SolverConfig)}
 _BOOL_KEYS = {"deterministic", "normalize"}
+
+
+def auto_or_float(raw: str):
+    return raw if raw == "auto" else float(raw)
+
+
+# how each solver knob is read from a flag or a config file, from the type
+# of its default (gd_grad_tol defaults to None and is a float)
+_SOLVER_PARSERS = {
+    f.name: auto_or_float if f.name == "theta"
+    else int if type(f.default) is int else float
+    for f in dataclasses.fields(SolverConfig)
+}
 
 
 def _parse_value(key: str, raw: str):
     if key in _BOOL_KEYS:
         return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key in ("K", "t_max", "loop_max", "gd_max_iters", "seed"):
+    if key == "seed":
         return int(raw)
-    if key == "theta":
-        return raw if raw == "auto" else float(raw)
-    if key in _SOLVER_FIELDS:
-        return float(raw)
-    return raw
-
-
-def read_kv_file(path) -> dict[str, str]:
-    kv = {}
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(f"{path}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
-    return kv
+    return _SOLVER_PARSERS.get(key, str)(raw)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--K", type=int, default=None)
-    p.add_argument("--theta", default=None,
-                   help="kernel width, or 'auto' for the mean kNN distance")
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--sigma0", type=float, default=None)
-    p.add_argument("--sigma-cap", dest="sigma_cap", type=float, default=None)
-    p.add_argument("--t-max", dest="t_max", type=int, default=None)
-    p.add_argument("--eps0", type=float, default=None)
-    p.add_argument("--loop-max", dest="loop_max", type=int, default=None)
-    p.add_argument("--eps1", type=float, default=None)
-    p.add_argument("--gd-max-iters", dest="gd_max_iters", type=int, default=None)
-    p.add_argument("--gd-grad-tol", dest="gd_grad_tol", type=float, default=None)
+    for name, parse in _SOLVER_PARSERS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
+                       default=None,
+                       help="kernel width, or 'auto' for the mean kNN distance"
+                       if name == "theta" else None)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -173,22 +163,21 @@ def resolve_config(args: argparse.Namespace) -> dict:
     for k in list(merged):
         v = getattr(args, k, None)
         if v is not None:
-            merged[k] = _parse_value(k, v) if isinstance(v, str) else v
+            merged[k] = v
     return merged
 
 
 def solver_config(merged: dict) -> SolverConfig:
-    return SolverConfig(**{k: merged[k] for k in _SOLVER_FIELDS})
+    try:
+        return SolverConfig(**{k: merged[k] for k in _SOLVER_PARSERS})
+    except ValueError as e:  # a knob out of range is a usage error
+        raise argparse.ArgumentTypeError(e) from None
 
 
 def _echo_config(merged: dict, cmd: str, out_dir: Path) -> None:
-    with (out_dir / "effective_config.txt").open("w") as f:
-        f.write(f"command={cmd}\n")
-        for k in sorted(merged):
-            v = merged[k]
-            if v is None:
-                continue
-            f.write(f"{k}={str(v).lower() if isinstance(v, bool) else v}\n")
+    write_kv_file(out_dir / "effective_config.txt", [("command", cmd)] + [
+        (k, str(v).lower() if isinstance(v, bool) else v)
+        for k, v in sorted(merged.items()) if v is not None])
 
 
 def _load_from_args(args, merged) -> Dataset:
@@ -234,13 +223,11 @@ def cmd_fit(args) -> int:
                enumerate(report.labels, start=1))
     np.savetxt(out / "onehot.csv", report.onehot, fmt="%d", delimiter=",")
     np.savetxt(out / "fstar.csv", report.F_star, fmt="%.12g", delimiter=",")
-    write_trace_csv(report, out / "trace.csv")
-    with (out / "model_meta.txt").open("w") as f:
-        f.write(f"n={ds.n}\nd={ds.d}\nc={ds.c}\nK={cfg.K}\n"
-                f"theta={graph.theta:.17g}\n")
-    with (out / "model_features.tsv").open("w") as f:
-        for row in ds.features:
-            f.write("\t".join(f"{v:.17g}" for v in row) + "\n")
+    _write_csv(out / "trace.csv", TRACE_HEADER, report.trace_rows())
+    write_kv_file(out / "model_meta.txt", [
+        ("n", ds.n), ("d", ds.d), ("c", ds.c), ("K", cfg.K),
+        ("theta", f"{graph.theta:.17g}")])
+    write_features(out / "model_features.tsv", ds.features)
     print(f"fit: {ds.n} examples, converged={report.converged} "
           f"in {report.loops_used} loops, "
           f"rowsum_resid={report.rowsum_resid:.3g}, "
@@ -252,14 +239,14 @@ def cmd_predict(args) -> int:
     model_dir = Path(args.model)
     meta = read_kv_file(model_dir / "model_meta.txt")
     onehot = np.loadtxt(model_dir / "onehot.csv", delimiter=",", ndmin=2)
-    train_features = np.loadtxt(model_dir / "model_features.tsv", ndmin=2)
+    train_features = read_features(model_dir / "model_features.tsv")
     predictor = Predictor(
         train_features=train_features,
         onehot=onehot,
         K=int(meta["K"]),
         theta=float(meta["theta"]),
     )
-    X = np.loadtxt(args.features, ndmin=2)
+    X = read_features(args.features)
     if X.shape[1] != train_features.shape[1]:
         raise DataFormatError(
             f"test features have {X.shape[1]} dims, model expects "
@@ -380,6 +367,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except argparse.ArgumentTypeError as e:
+        print(f"error: code=USAGE msg={e}", file=sys.stderr)
+        return EXIT_USAGE
     except (DataFormatError, FileNotFoundError, ValueError) as e:
         print(f"error: code=DATA msg={e}", file=sys.stderr)
         return EXIT_DATA

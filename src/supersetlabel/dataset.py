@@ -94,13 +94,59 @@ def validate_dataset(ds: Dataset) -> None:
                 )
 
 
-def _parse_float(token: str, path, line_no: int) -> float:
+def read_features(path) -> np.ndarray:
+    """Read a feature table: one row per non-blank line, tab-separated floats.
+
+    A ragged row or a non-numeric token (a '#' comment, space-separated
+    columns) is an error naming the file and its 1-based line.
+    """
+    lines = Path(path).read_text().splitlines()
+    rows = [line for line in lines if line.strip()]
+    if not rows:
+        raise DataFormatError(f"{path}: no feature rows")
     try:
-        return float(token)
+        return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
     except ValueError:
-        raise DataFormatError(
-            f"{path}: non-numeric feature token {token!r} on line {line_no}"
-        ) from None
+        # find the line here: np.loadtxt's row numbers skip blank lines
+        width = len(rows[0].split("\t"))
+        for line_no, line in enumerate(lines, start=1):
+            tokens = line.split("\t") if line.strip() else []
+            for token in tokens:
+                try:
+                    float(token)
+                except ValueError:
+                    raise DataFormatError(f"{path}: non-numeric feature token "
+                                          f"{token!r} on line {line_no}") from None
+            if tokens and len(tokens) != width:
+                raise DataFormatError(
+                    f"{path}: inconsistent row lengths: {len(tokens)} values "
+                    f"on line {line_no}, {width} on the first row")
+        raise
+
+
+def write_features(path, X) -> None:
+    """Write a feature table that read_features returns bit for bit."""
+    np.savetxt(path, X, fmt="%.17g", delimiter="\t")
+
+
+def read_kv_file(path) -> dict[str, str]:
+    """Read key=value lines; blank lines and '#' comment lines are skipped."""
+    kv = {}
+    for line in Path(path).read_text().splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(f"{path}: expected key=value, got {line!r}")
+        k, v = line.split("=", 1)
+        kv[k.strip()] = v.strip()
+    return kv
+
+
+def write_kv_file(path, items) -> None:
+    """Write (key, value) pairs as key=value lines, each value by str."""
+    with open(path, "w") as f:
+        f.writelines(f"{k}={v}\n" for k, v in items)
 
 
 def load_dataset(features_path, candidates_path, truth_path=None,
@@ -114,23 +160,8 @@ def load_dataset(features_path, candidates_path, truth_path=None,
                     max(declared, largest index seen), and an index beyond
                     the declared count is an error
     """
-    features_path = Path(features_path)
+    features = read_features(features_path)
     candidates_path = Path(candidates_path)
-    rows = []
-    for line_no, line in enumerate(
-        features_path.read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        rows.append([_parse_float(t, features_path, line_no) for t in line.split("\t")])
-    if not rows:
-        raise DataFormatError(f"{features_path}: no feature rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataFormatError(
-            f"{features_path}: inconsistent row lengths {sorted(widths)}"
-        )
-    features = np.asarray(rows, dtype=float)
 
     candidates = []
     for line_no, line in enumerate(
@@ -191,12 +222,9 @@ def save_dataset(ds: Dataset, out_dir) -> dict[str, Path]:
         "candidates": out / "candidates.txt",
         "manifest": out / "manifest.txt",
     }
-    with paths["features"].open("w") as f:
-        for row in ds.features:
-            f.write("\t".join(f"{v:.17g}" for v in row) + "\n")
-    with paths["candidates"].open("w") as f:
-        for s in ds.candidates:
-            f.write(",".join(str(j) for j in s) + "\n")
+    write_features(paths["features"], ds.features)
+    paths["candidates"].write_text(
+        "".join(",".join(map(str, s)) + "\n" for s in ds.candidates))
     manifest = {
         "n": ds.n, "d": ds.d, "c": ds.c,
         "features": paths["features"].name,
@@ -204,25 +232,16 @@ def save_dataset(ds: Dataset, out_dir) -> dict[str, Path]:
     }
     if ds.truth is not None:
         paths["truth"] = out / "truth.txt"
-        with paths["truth"].open("w") as f:
-            f.write("\n".join(str(y) for y in ds.truth) + "\n")
+        paths["truth"].write_text("\n".join(map(str, ds.truth)) + "\n")
         manifest["truth"] = paths["truth"].name
-    with paths["manifest"].open("w") as f:
-        for k, v in manifest.items():
-            f.write(f"{k}={v}\n")
+    write_kv_file(paths["manifest"], manifest.items())
     return paths
 
 
 def load_manifest(manifest_path) -> Dataset:
     """Load a Dataset via a key=value manifest (paths relative to it)."""
     manifest_path = Path(manifest_path)
-    kv = {}
-    for line in manifest_path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
-            continue
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
+    kv = read_kv_file(manifest_path)
     for key in ("features", "candidates"):
         if key not in kv:
             raise DataFormatError(f"{manifest_path}: missing {key}= entry")

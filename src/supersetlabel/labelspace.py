@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -32,11 +33,9 @@ class LabelCodec:
 
 def encode(ds: Dataset) -> LabelCodec:
     """Build the LabelCodec for a validated Dataset."""
-    n, c = ds.n, ds.c
-    Y = np.zeros((n, c))
-    H = np.ones((n, c))
-    for i, s in enumerate(ds.candidates):
-        cols = np.asarray(s, dtype=int) - 1
-        Y[i, cols] = 1.0 / len(s)
-        H[i, cols] = 0.0
-    return LabelCodec(Y=Y, H=H)
+    sizes = np.array([len(s) for s in ds.candidates], dtype=int)
+    rows = np.repeat(np.arange(ds.n), sizes)
+    cols = np.fromiter(chain.from_iterable(ds.candidates), dtype=int) - 1
+    Y = np.zeros((ds.n, ds.c))
+    Y[rows, cols] = np.repeat(1.0 / sizes, sizes)
+    return LabelCodec(Y=Y, H=(Y == 0.0).astype(float))

@@ -127,14 +127,6 @@ class SolverReport:
         return [row.astuple() for row in self.trace]
 
 
-def write_trace_csv(report: SolverReport, path) -> None:
-    with open(path, "w") as f:
-        f.write(TRACE_HEADER + "\n")
-        for loop, delta, sigma, lagr, resid, mn in report.trace_rows():
-            f.write(f"{loop},{delta:.12g},{sigma:.12g},{lagr:.12g},"
-                    f"{resid:.12g},{mn:.12g}\n")
-
-
 def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
                 graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
                 history: list[float] | None = None) -> np.ndarray:

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import supersetlabel
-from supersetlabel import Predictor, build_knn_graph, load_manifest, predict_batch
-from supersetlabel.cli import (EXIT_DATA, EXIT_OK, build_parser, main,
-                               read_kv_file)
+from supersetlabel import (Predictor, alm_fit, build_knn_graph, encode,
+                           load_manifest, predict_batch)
+from supersetlabel.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
+                               main, read_kv_file)
 from supersetlabel.solver import SolverConfig
 
 
@@ -56,6 +57,19 @@ class TestFit:
         code = run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
                        "--out", str(out), *FAST)
         assert code == EXIT_OK
+
+    def test_trace_csv(self, synth_dir, tmp_path):
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--out", str(out), *FAST) == EXIT_OK
+        ds = load_manifest(synth_dir / "manifest.txt")
+        report = alm_fit(build_knn_graph(ds, K=3, theta="auto"), encode(ds),
+                         SolverConfig(alpha=100.0, loop_max=8, K=3))
+        lines = (out / "trace.csv").read_text().splitlines()
+        assert lines[0] == "loop,delta_f,sigma,lagrangian,rowsum_resid,min_entry"
+        assert len(lines) == 1 + report.loops_used
+        assert lines[1:] == [",".join([str(loop), *(f"{v:.12g}" for v in rest)])
+                             for loop, *rest in report.trace_rows()]
 
     def test_does_not_modify_inputs(self, synth_dir, tmp_path):
         digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -122,6 +136,21 @@ class TestPredict:
         err = capsys.readouterr().err
         assert err.startswith("error: code=DATA")
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("text", ["# x\ty\n1\t2\n", "1 2\n3 4\n"],
+                             ids=["comment", "spaces"])
+    def test_features_read_by_the_fit_rule(self, synth_dir, tmp_path, capsys,
+                                           text):
+        model = tmp_path / "model"
+        run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                "--out", str(model), *FAST)
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        code = run_cli("predict", "--model", str(model),
+                       "--features", str(bad), "--out",
+                       str(tmp_path / "p.csv"))
+        assert code == EXIT_DATA
+        assert "non-numeric feature token" in capsys.readouterr().err
 
 
 class TestCv:
@@ -254,6 +283,21 @@ class TestConfigHandling:
                        "--config", str(cfgfile), "--out", str(tmp_path / "x"))
         assert code == EXIT_DATA
         assert "frobnicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_invalid_solver_value_is_usage_error(self, synth_dir, tmp_path,
+                                                 capsys, source):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("sigma_cap=1e9\n")
+        bad = (["--t-max", "0"] if source == "flag"
+               else ["--config", str(cfgfile)])
+        code = run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       *bad, "--out", str(tmp_path / "x"))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=USAGE")
+        assert ("t_max" if source == "flag" else "sigma_cap") in err
+        assert "\n" not in err.strip()
 
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("fit", "--features", str(tmp_path / "nope.tsv"),

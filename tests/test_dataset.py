@@ -59,6 +59,26 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="inconsistent"):
             load_dataset(fp, cp)
 
+    def test_blank_lines_skipped(self, tmp_path):
+        fp = tmp_path / "f.tsv"
+        fp.write_text("\n1\t2\n  \n\t\n3\t4\n\n")
+        cp = tmp_path / "c.txt"
+        cp.write_text("1\n2\n")
+        np.testing.assert_array_equal(load_dataset(fp, cp).features,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
+    @pytest.mark.parametrize("bad, match", [
+        ("x\t3", "non-numeric feature token 'x' on line 4"),
+        ("3", "inconsistent row lengths: 1 values on line 4"),
+    ], ids=["token", "ragged"])
+    def test_bad_line_named_after_blank_lines(self, tmp_path, bad, match):
+        fp = tmp_path / "f.tsv"
+        fp.write_text(f"1\t2\n\n\n{bad}\n")
+        cp = tmp_path / "c.txt"
+        cp.write_text("1\n2\n")
+        with pytest.raises(DataFormatError, match=match):
+            load_dataset(fp, cp)
+
     def test_declared_c_too_small(self, tmp_path):
         fp, cp, _ = write_files(tmp_path, [[0.0], [1.0]], ["1", "3"])
         with pytest.raises(DataFormatError, match="declared"):
@@ -79,6 +99,15 @@ class TestLoad:
         manifest = paths["manifest"].read_text().replace("n=8", "n=9")
         paths["manifest"].write_text(manifest)
         with pytest.raises(DataFormatError, match="declared n=9"):
+            load_manifest(paths["manifest"])
+
+    def test_manifest_line_without_equals(self, tmp_path):
+        ds = make_synthetic(n=8, c=2, d=2, sep=2.0, p_coocc=0.0, r_extra=0,
+                            seed=1)
+        paths = save_dataset(ds, tmp_path)
+        with paths["manifest"].open("a") as f:
+            f.write("# a comment\n\nstray\n")
+        with pytest.raises(DataFormatError, match="expected key=value"):
             load_manifest(paths["manifest"])
 
     def test_round_trip(self, tmp_path):

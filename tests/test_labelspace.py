@@ -58,3 +58,16 @@ def test_omega_sizes(rng):
     for s, om in zip(cands, zero_sets(codec)):
         assert len(om) == c - len(s)
         assert set(om).isdisjoint(s)
+
+
+def test_matches_per_row_loop(rng):
+    n, c = 40, 7
+    cands = random_candidates(rng, n, c)
+    codec = codec_for(cands, c=c)
+    Y, H = np.zeros((n, c)), np.ones((n, c))
+    for i, s in enumerate(cands):
+        cols = np.asarray(s) - 1
+        Y[i, cols] = 1.0 / len(s)
+        H[i, cols] = 0.0
+    assert codec.Y.tobytes() == Y.tobytes()
+    assert codec.H.tobytes() == H.tobytes()

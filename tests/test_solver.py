@@ -15,7 +15,6 @@ from supersetlabel import (
     gd_minimize,
     lagrangian,
     make_synthetic,
-    write_trace_csv,
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
@@ -129,17 +128,6 @@ class TestAlmFit:
         assert [r[0] for r in rows] == list(range(1, report.loops_used + 1))
         if report.converged:
             assert rows[-1][1] <= cfg.eps1
-
-    def test_trace_csv(self, tmp_path):
-        ds = make_synthetic(n=20, c=2, d=2, sep=4.0, p_coocc=0.5, r_extra=1,
-                            seed=3)
-        graph = build_knn_graph(ds, K=3, theta="auto")
-        report = alm_fit(graph, encode(ds), SolverConfig(loop_max=5))
-        path = tmp_path / "trace.csv"
-        write_trace_csv(report, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "loop,delta_f,sigma,lagrangian,rowsum_resid,min_entry"
-        assert len(lines) == 1 + report.loops_used
 
     def test_sigma_sequence(self, rng):
         ds = Dataset(features=rng.normal(size=(4, 2)),
