@@ -8,7 +8,7 @@ everywhere they appear in files, reports, and this module's API.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -110,18 +110,32 @@ def read_features(path) -> np.ndarray:
         # find the line here: np.loadtxt's row numbers skip blank lines
         width = len(rows[0].split("\t"))
         for line_no, line in enumerate(lines, start=1):
-            tokens = line.split("\t") if line.strip() else []
-            for token in tokens:
-                try:
-                    float(token)
-                except ValueError:
-                    raise DataFormatError(f"{path}: non-numeric feature token "
-                                          f"{token!r} on line {line_no}") from None
-            if tokens and len(tokens) != width:
+            if not line.strip():
+                continue
+            token = _unreadable_token(line)
+            if token is not None:
+                raise DataFormatError(f"{path}: non-numeric feature token "
+                                      f"{token!r} on line {line_no}")
+            tokens = line.split("\t")
+            if len(tokens) != width:
                 raise DataFormatError(
                     f"{path}: inconsistent row lengths: {len(tokens)} values "
                     f"on line {line_no}, {width} on the first row")
         raise
+
+
+def _unreadable_token(line: str) -> str | None:
+    """The first token of a tab-separated line that np.loadtxt does not read
+    as a float (Python's float accepts more, such as '1_000'), or None."""
+    try:  # one call for the whole line, then one per column
+        np.loadtxt([line], delimiter="\t", comments=None)
+    except ValueError:
+        for k, token in enumerate(line.split("\t")):
+            try:
+                np.loadtxt([line], delimiter="\t", comments=None, usecols=k)
+            except ValueError:
+                return token
+    return None
 
 
 def write_features(path, X) -> None:
@@ -325,8 +339,6 @@ class SplitPlan:
     """Assignment of every example to one of five cross-validation folds."""
 
     folds: np.ndarray  # n integers in {1..N_FOLDS}
-    seed: int
-    n_folds: int = field(default=N_FOLDS)
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.where(self.folds == fold)[0]
@@ -359,4 +371,4 @@ def plan_splits(ds: Dataset, seed: int) -> SplitPlan:
         for pos, i in enumerate(idx):
             folds[i] = (offset + pos) % N_FOLDS + 1
         offset = (offset + idx.size) % N_FOLDS
-    return SplitPlan(folds=folds, seed=seed)
+    return SplitPlan(folds=folds)

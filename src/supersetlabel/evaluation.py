@@ -9,7 +9,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .dataset import Dataset, plan_splits
+from .dataset import N_FOLDS, Dataset, plan_splits
 from .graph import build_knn_graph
 from .inference import Predictor, predict_batch
 from .labelspace import encode
@@ -52,8 +52,6 @@ class CvResult:
     std_train: float
     mean_test: float
     std_test: float
-    config: SolverConfig
-    seed: int
 
 
 def cross_validate(ds: Dataset, cfg: SolverConfig, seed: int) -> CvResult:
@@ -77,7 +75,7 @@ def _cross_validate(ds: Dataset, cfg: SolverConfig, seed: int,
     plan = plan_splits(ds, seed)
     truth = np.asarray(ds.truth)
     train_accs, test_accs = [], []
-    for fold in range(1, plan.n_folds + 1):
+    for fold in range(1, N_FOLDS + 1):
         tr, te = plan.train_indices(fold), plan.test_indices(fold)
         ds_tr = ds.subset(tr)
         try:
@@ -100,8 +98,6 @@ def _cross_validate(ds: Dataset, cfg: SolverConfig, seed: int,
         std_train=float(np.std(train_accs)),
         mean_test=float(np.mean(test_accs)),
         std_test=float(np.std(test_accs)),
-        config=cfg,
-        seed=seed,
     )
 
 

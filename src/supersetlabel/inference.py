@@ -18,6 +18,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .graph import _nearest
+from .labelspace import encode
 
 _CHUNK = 256  # test points scored together; bounds the scan's working set
 
@@ -77,9 +78,5 @@ def baseline_ambiguous_knn(ds_train: Dataset, x_t, K: int, theta: float) -> int:
         raise ValueError(f"kernel width must be positive, got {theta}")
     idx, d2 = _nearest(ds_train.features, np.asarray([x_t], dtype=float),
                        _clamped(K, ds_train.n), skip_self=False)
-    # only the neighbours' rows of Y: 1/|S_i| on each candidate set
-    Y = np.zeros((idx.shape[1], ds_train.c))
-    for r, i in enumerate(idx[0]):
-        s = ds_train.candidates[i]
-        Y[r, np.asarray(s) - 1] = 1.0 / len(s)
+    Y = encode(ds_train.subset(idx[0])).Y  # only the neighbours' rows
     return int(np.argmax(_vote(d2, Y[None], theta))) + 1

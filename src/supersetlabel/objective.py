@@ -12,10 +12,10 @@ the row-sum normalization. CCCP handles the concave -beta ||F||_F^2 part by
 replacing it with its tangent at a reference point F_t, which turns the
 Lagrangian into the convex surrogate
 
-    linearized_objective(F, F_t) = lagrangian(F) + beta ||F - F_t||_F^2,
+    linearized_objective(F, F_t) = Lagrangian(F) + beta ||F - F_t||_F^2,
 
-an upper bound that touches the Lagrangian at F = F_t; lagrangian() is the
-surrogate evaluated at F_t = F.
+an upper bound that touches the Lagrangian at F = F_t; the Lagrangian itself
+is linearized_objective(F, F).
 """
 
 from __future__ import annotations
@@ -80,13 +80,6 @@ def primal_objective(F: np.ndarray, graph: KnnGraph, codec: LabelCodec,
     return smooth + fidelity - discrimination
 
 
-def aux_m(F: np.ndarray, lambda1: np.ndarray, sigma: float) -> np.ndarray:
-    """Clamped nonnegativity multiplier max(0, lambda1 - sigma F)."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return np.maximum(0.0, lambda1 - sigma * F)
-
-
 def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
                          graph: KnnGraph, codec: LabelCodec,
                          p: ObjectiveParams) -> float:
@@ -98,7 +91,7 @@ def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
     """
     primal = primal_objective(F, graph, codec, p)  # checks the dimensions
     step = F - F_t
-    M = aux_m(F, state.lambda1, state.sigma)
+    M = np.maximum(0.0, state.lambda1 - state.sigma * F)
     r = F.sum(axis=1) - 1.0
     return (
         primal
@@ -108,12 +101,6 @@ def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
            - float(state.lambda2 @ r)
            + 0.5 * state.sigma * float(r @ r))
     )
-
-
-def lagrangian(state: AlmState, graph: KnnGraph, codec: LabelCodec,
-               p: ObjectiveParams) -> float:
-    """Augmented Lagrangian at the state's F and multipliers."""
-    return linearized_objective(state.F, state.F, state, graph, codec, p)
 
 
 def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
@@ -128,7 +115,7 @@ def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
     g = graph.laplacian_apply(F)
     g *= 2.0
     g += 2.0 * p.alpha * codec.H * (F - codec.Y)
-    g -= aux_m(F, state.lambda1, state.sigma)
+    g -= np.maximum(0.0, state.lambda1 - state.sigma * F)
     g -= state.lambda2[:, None]
     g += state.sigma * (F.sum(axis=1) - 1.0)[:, None]
     g -= 2.0 * p.beta * F_t

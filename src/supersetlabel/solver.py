@@ -17,7 +17,7 @@ solved F is read out row-wise by argmax into hard labels.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .objective import (
     AlmState,
     ObjectiveParams,
     cccp_gradient,
-    lagrangian,
     linearized_objective,
 )
 
@@ -65,6 +64,12 @@ class SolverConfig:
     gd_grad_tol: float | None = None
 
     def __post_init__(self):
+        self.params()  # alpha, beta >= 0
+        if self.K < 1:
+            raise ValueError(f"K must be at least 1, got {self.K}")
+        if self.theta != "auto" and not 0 < self.theta < np.inf:
+            raise ValueError(f"theta must be 'auto' or finite and positive, "
+                             f"got {self.theta}")
         if self.rho <= 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
         if not 0 < self.sigma0 <= self.sigma_cap <= SIGMA_CAP:
@@ -101,12 +106,8 @@ class TraceRow:
     rowsum_resid: float
     min_entry: float
 
-    def astuple(self):
-        return (self.loop, self.delta_f, self.sigma, self.lagrangian,
-                self.rowsum_resid, self.min_entry)
 
-
-TRACE_HEADER = "loop,delta_f,sigma,lagrangian,rowsum_resid,min_entry"
+TRACE_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 
 @dataclass
@@ -124,12 +125,12 @@ class SolverReport:
 
     def trace_rows(self):
         """Rows for CSV emission, one per outer loop."""
-        return [row.astuple() for row in self.trace]
+        return [astuple(row) for row in self.trace]
 
 
 def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
-                graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
-                history: list[float] | None = None) -> np.ndarray:
+                graph: KnnGraph, codec: LabelCodec,
+                cfg: SolverConfig) -> np.ndarray:
     """Minimize the linearized objective by Jacobi-preconditioned descent.
 
     The direction is d = g / P, where P is the surrogate's Hessian diagonal
@@ -140,8 +141,9 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     accepted when it decreases the surrogate by at least _ARMIJO_C * tau *
     <g, d> (_ARMIJO_C = 1e-4); tau starts at 1, the Newton step of the
     diagonal model, and is halved (_BACKTRACK = 0.5) while the test fails,
-    and after an accepted step the next trial is twice that step. Stops on a small gradient, the iteration budget
-    gd_max_iters, or stepsize underflow below 1e-16.
+    and after an accepted step the next trial is twice that step. Stops on a
+    small gradient, the iteration budget gd_max_iters, or stepsize underflow
+    below 1e-16.
 
     The surrogate is never evaluated for the test. Its exact change along
     -tau d is -tau <g, d> + tau^2 curv / 2 + excess, where curv is the
@@ -150,8 +152,7 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     tangent, a sum of nonnegative O(nc) terms per trial. The test compares
     these small terms with (1 - _ARMIJO_C) tau <g, d> and so never subtracts
     two large surrogate values, whose rounding error can exceed the decrease
-    being tested. When history is given, the surrogate value recomputed at
-    every accepted iterate (including the start) is appended.
+    being tested.
     """
     p = cfg.params()
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
@@ -161,8 +162,6 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     P_fixed = (2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H
                + sigma * F_init.shape[1])
     F = F_init.copy()
-    if history is not None:
-        history.append(linearized_objective(F, F_t, state, graph, codec, p))
     trial = 1.0
     for _ in range(cfg.gd_max_iters):
         g = cccp_gradient(F, F_t, state, graph, codec, p)
@@ -196,9 +195,6 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
                               "iterate", stacklevel=2)
                 return F
         F -= tau * d
-        if history is not None:
-            history.append(linearized_objective(F, F_t, state, graph, codec,
-                                                p))
         # optimistic restart: look a bit further than the accepted step
         trial = min(tau / _BACKTRACK, tau_cap)
     return F
@@ -218,12 +214,12 @@ def cccp_minimize(state: AlmState, graph: KnnGraph, codec: LabelCodec,
     p = cfg.params()
     F = state.F.copy()
     if history is not None:
-        history.append(lagrangian(replace(state, F=F), graph, codec, p))
+        history.append(linearized_objective(F, F, state, graph, codec, p))
     for _ in range(cfg.t_max):
         F_t = F
         F = gd_minimize(F_t, F_t, state, graph, codec, cfg)
         if history is not None:
-            history.append(lagrangian(replace(state, F=F), graph, codec, p))
+            history.append(linearized_objective(F, F, state, graph, codec, p))
         if np.linalg.norm(F - F_t) <= cfg.eps0:
             break
     return F
@@ -262,7 +258,7 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
         if not np.all(np.isfinite(F)):
             raise SolverDivergenceError(f"non-finite iterate at loop {loop}")
         sigma_used = state.sigma
-        value = lagrangian(replace(state, F=F), graph, codec, p)
+        value = linearized_objective(F, F, state, graph, codec, p)
         if not np.isfinite(value):
             raise SolverDivergenceError(f"non-finite objective at loop {loop}")
 

@@ -284,20 +284,28 @@ class TestConfigHandling:
         assert code == EXIT_DATA
         assert "frobnicate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("bad, name", [
+        pytest.param(["--t-max", "0"], "t_max", id="flag"),
+        pytest.param("sigma_cap=1e9", "sigma_cap", id="config"),
+        pytest.param(["--alpha", "-1"], "alpha", id="alpha"),
+        pytest.param(["--beta", "-1"], "beta", id="beta"),
+        pytest.param(["--K", "0"], "K", id="K"),
+        pytest.param(["--theta", "0"], "theta", id="theta"),
+        pytest.param("theta=inf", "theta", id="theta_config"),
+    ])
     def test_invalid_solver_value_is_usage_error(self, synth_dir, tmp_path,
-                                                 capsys, source):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("sigma_cap=1e9\n")
-        bad = (["--t-max", "0"] if source == "flag"
-               else ["--config", str(cfgfile)])
+                                                 capsys, bad, name):
+        if isinstance(bad, str):  # a config file line
+            (tmp_path / "run.cfg").write_text(bad + "\n")
+            bad = ["--config", str(tmp_path / "run.cfg")]
         code = run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
                        *bad, "--out", str(tmp_path / "x"))
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: code=USAGE")
-        assert ("t_max" if source == "flag" else "sigma_cap") in err
+        assert name in err
         assert "\n" not in err.strip()
+        assert not (tmp_path / "x").exists()  # rejected before any work
 
     def test_missing_file(self, tmp_path, capsys):
         code = run_cli("fit", "--features", str(tmp_path / "nope.tsv"),

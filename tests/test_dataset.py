@@ -4,11 +4,13 @@ import pytest
 from supersetlabel import (
     DataFormatError,
     Dataset,
-    load_dataset,
     load_manifest,
     make_synthetic,
-    normalize_unit_length,
     plan_splits,
+)
+from supersetlabel.dataset import (
+    load_dataset,
+    normalize_unit_length,
     save_dataset,
 )
 
@@ -70,7 +72,11 @@ class TestLoad:
     @pytest.mark.parametrize("bad, match", [
         ("x\t3", "non-numeric feature token 'x' on line 4"),
         ("3", "inconsistent row lengths: 1 values on line 4"),
-    ], ids=["token", "ragged"])
+        # Python's float reads these, np.loadtxt does not
+        ("1_000\t3", "non-numeric feature token '1_000' on line 4"),
+        ("\u0661\t3", "non-numeric feature token '\u0661' on line 4"),
+        ("1\t\t3", "non-numeric feature token '' on line 4"),
+    ], ids=["token", "ragged", "underscore", "arabic_digit", "empty"])
     def test_bad_line_named_after_blank_lines(self, tmp_path, bad, match):
         fp = tmp_path / "f.tsv"
         fp.write_text(f"1\t2\n\n\n{bad}\n")

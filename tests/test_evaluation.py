@@ -9,11 +9,11 @@ from supersetlabel import (
     cross_validate,
     friedman_test,
     make_synthetic,
-    plan_splits,
     sweep,
     training_accuracy,
 )
 from supersetlabel import evaluation
+from supersetlabel.dataset import N_FOLDS
 from supersetlabel.evaluation import (
     CrossValidationError,
     _rank_desc_with_ties,
@@ -215,8 +215,7 @@ class TestSweep:
 
         monkeypatch.setattr(evaluation, "build_knn_graph", counted)
         rows = sweep(CV_DS, [10.0, 100.0], [0.0, 0.01], [3, 4], CV_CFG, seed=5)
-        n_folds = plan_splits(CV_DS, 5).n_folds
-        assert sorted(built) == [3] * n_folds + [4] * n_folds
+        assert sorted(built) == [3] * N_FOLDS + [4] * N_FOLDS
         for row in rows:
             cv = cross_validate(CV_DS, replace(CV_CFG, alpha=row.alpha,
                                                beta=row.beta, K=row.K), seed=5)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -7,15 +5,13 @@ import scipy.sparse as sp
 from supersetlabel import (
     AlmState,
     Dataset,
-    ObjectiveParams,
-    aux_m,
     cccp_gradient,
     encode,
-    lagrangian,
     linearized_objective,
     primal_objective,
 )
 from supersetlabel.graph import KnnGraph
+from supersetlabel.objective import ObjectiveParams
 
 from conftest import random_instance, random_state
 
@@ -73,6 +69,17 @@ def loop_gradient(F, F_t, state, graph, codec, p):
     return G
 
 
+def clamp_change(F, lambda1, sigma, graph, codec, p):
+    """max(0, lambda1 - sigma F) - max(0, -sigma F), read off cccp_gradient:
+    the clamp is its only term that depends on lambda1, entering with a minus
+    sign, so this is the gradient at lambda1 = 0 minus the one at lambda1."""
+    def grad(l1):
+        state = AlmState(F=F, lambda1=l1, lambda2=np.zeros(F.shape[0]),
+                         sigma=sigma)
+        return cccp_gradient(F, F, state, graph, codec, p)
+    return grad(np.zeros_like(F)) - grad(lambda1)
+
+
 def two_node_instance():
     ds = Dataset(features=np.array([[0.0, 0.0], [1.0, 0.0]]),
                  candidates=((1, 2), (1,)), c=2)
@@ -117,28 +124,40 @@ class TestPrimal:
 
 
 class TestAuxM:
-    def test_zero_when_nonnegative(self):
+    """The clamped multiplier max(0, lambda1 - sigma F), seen through the
+    gradient (AlmState keeps sigma in (0, SIGMA_CAP], see TestValidation)."""
+
+    def test_zero_when_nonnegative(self, rng):
+        # lambda1 <= sigma F everywhere: the clamp stays 0 and the gradient
+        # does not move, bit for bit
+        graph, codec, p = random_instance(rng, n=2, c=2)
         F = np.array([[0.2, 0.8], [1.0, 0.0]])
-        np.testing.assert_array_equal(aux_m(F, np.zeros((2, 2)), 3.0),
-                                      np.zeros((2, 2)))
+        np.testing.assert_array_equal(
+            clamp_change(F, 0.5 * 3.0 * F, 3.0, graph, codec, p),
+            np.zeros((2, 2)))
 
     def test_scalar_arithmetic(self):
-        M = aux_m(np.array([[1.0]]), np.array([[5.0]]), 2.0)
+        # one example, one class, no edges, beta = 0: the gradient is -M
+        ds = Dataset(features=np.zeros((1, 1)), candidates=((1,),), c=1)
+        graph = KnnGraph(W=sp.csr_matrix((1, 1)), K=0, theta=1.0)
+        p = ObjectiveParams(alpha=1.0, beta=0.0)
+        M = clamp_change(np.array([[1.0]]), np.array([[5.0]]), 2.0, graph,
+                         encode(ds), p)
         assert M[0, 0] == 3.0
 
     def test_elementwise_oracle(self, rng):
+        graph, codec, p = random_instance(rng, n=6, c=3)
         F = rng.normal(size=(6, 3))
         l1 = np.abs(rng.normal(size=(6, 3)))
         sigma = 1.7
-        M = aux_m(F, l1, sigma)
+        got = clamp_change(F, l1, sigma, graph, codec, p)
+        want = np.zeros_like(F)
         for i in range(6):
             for j in range(3):
-                assert M[i, j] == max(0.0, l1[i, j] - sigma * F[i, j])
-        assert np.all(M >= 0)
-
-    def test_requires_positive_sigma(self):
-        with pytest.raises(ValueError):
-            aux_m(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+                want[i, j] = (max(0.0, l1[i, j] - sigma * F[i, j])
+                              - max(0.0, -sigma * F[i, j]))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert np.all(got >= 0)
 
 
 class TestLagrangian:
@@ -149,8 +168,9 @@ class TestLagrangian:
         F /= F.sum(axis=1, keepdims=True)
         state = AlmState(F=F, lambda1=np.zeros((6, 3)), lambda2=np.zeros(6),
                          sigma=2.5)
-        assert lagrangian(state, graph, codec, p) == pytest.approx(
-            primal_objective(F, graph, codec, p), rel=1e-12, abs=1e-12)
+        value = linearized_objective(F, F, state, graph, codec, p)
+        assert value == pytest.approx(primal_objective(F, graph, codec, p),
+                                      rel=1e-12, abs=1e-12)
 
     def test_quadratic_penalty_scaling(self, rng):
         graph, codec, p = random_instance(rng, n=3, c=2)
@@ -160,7 +180,7 @@ class TestLagrangian:
         vals = {}
         for sigma in (10.0, 1000.0):
             state = AlmState(F=F, lambda1=z1, lambda2=z2, sigma=sigma)
-            vals[sigma] = lagrangian(state, graph, codec, p)
+            vals[sigma] = linearized_objective(F, F, state, graph, codec, p)
         # the sigma/2 * 0.25 term dominates the growth
         assert vals[1000.0] - vals[10.0] == pytest.approx(
             0.5 * (1000.0 - 10.0) * 0.25, rel=1e-10)
@@ -169,7 +189,8 @@ class TestLagrangian:
         for _ in range(10):
             graph, codec, p = random_instance(rng)
             state = random_state(rng, codec.n, codec.c)
-            got = lagrangian(state, graph, codec, p)
+            F = state.F
+            got = linearized_objective(F, F, state, graph, codec, p)
             want = loop_lagrangian(state, graph, codec, p)
             assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
 
@@ -179,40 +200,47 @@ class TestLagrangian:
         for _ in range(5):
             graph, codec, p = random_instance(rng)
             state = random_state(rng, codec.n, codec.c)
-            j1 = linearized_objective(state.F, np.zeros_like(state.F), state,
-                                      graph, codec, p)
-            j2 = p.beta * float(np.sum(state.F**2))
+            F = state.F
+            j1 = linearized_objective(F, np.zeros_like(F), state, graph,
+                                      codec, p)
+            j2 = p.beta * float(np.sum(F**2))
             assert j1 - j2 == pytest.approx(
-                lagrangian(state, graph, codec, p), rel=1e-10, abs=1e-10)
+                linearized_objective(F, F, state, graph, codec, p),
+                rel=1e-10, abs=1e-10)
 
     def test_surrogate_adds_proximal_term(self, rng):
         # the CCCP surrogate is the Lagrangian plus beta ||F - F_t||^2
         for _ in range(10):
             graph, codec, p = random_instance(rng)
             state = random_state(rng, codec.n, codec.c)
-            F_t = rng.normal(size=state.F.shape)
-            gap = (linearized_objective(state.F, F_t, state, graph, codec, p)
-                   - lagrangian(state, graph, codec, p))
+            F, F_t = state.F, rng.normal(size=state.F.shape)
+            gap = (linearized_objective(F, F_t, state, graph, codec, p)
+                   - linearized_objective(F, F, state, graph, codec, p))
             assert gap == pytest.approx(
-                p.beta * float(np.sum((state.F - F_t) ** 2)), rel=1e-10)
+                p.beta * float(np.sum((F - F_t) ** 2)), rel=1e-10)
 
     def test_surrogate_touches_lagrangian_exactly(self, rng):
+        # an upper bound for every F_t that meets the Lagrangian bit for bit
+        # at F_t = F
         for _ in range(10):
             graph, codec, p = random_instance(rng)
             state = random_state(rng, codec.n, codec.c)
             F = rng.normal(size=state.F.shape)
-            assert (linearized_objective(F, F, state, graph, codec, p)
-                    == lagrangian(replace(state, F=F), graph, codec, p))
+            value = linearized_objective(F, F, state, graph, codec, p)
+            F_t = F + rng.normal(size=F.shape)
+            upper = linearized_objective(F, F_t, state, graph, codec, p)
+            touch = linearized_objective(F, F.copy(), state, graph, codec, p)
+            assert upper >= value and touch == value
 
     def test_clamp_term_exactly_zero(self, rng):
+        # F >= 0 with unit row sums and lambda1 = 0: the clamp and row-sum
+        # terms add exactly 0, whatever lambda2 and sigma are
         graph, codec, p = random_instance(rng, n=4, c=2)
-        F = np.abs(rng.normal(size=(4, 2)))
-        sigma = 3.0
+        F = np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75], [0.0, 1.0]])
         state = AlmState(F=F, lambda1=np.zeros((4, 2)),
-                         lambda2=rng.normal(size=4), sigma=sigma)
-        M = aux_m(F, state.lambda1, sigma)
-        term = (np.sum(M * M) - np.sum(state.lambda1**2)) / (2 * sigma)
-        assert term == 0.0
+                         lambda2=rng.normal(size=4), sigma=3.0)
+        assert (linearized_objective(F, F, state, graph, codec, p)
+                == primal_objective(F, graph, codec, p))
 
 
 class TestGradient:

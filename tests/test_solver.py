@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,13 +14,13 @@ from supersetlabel import (
     cccp_gradient,
     cccp_minimize,
     encode,
-    gd_minimize,
-    lagrangian,
+    linearized_objective,
     make_synthetic,
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
 from supersetlabel.objective import SIGMA_CAP
+from supersetlabel.solver import gd_minimize
 
 from conftest import random_candidates, random_symmetric_graph
 
@@ -59,10 +61,10 @@ def inner_calls(monkeypatch):
     calls = []
     gd, grad = solver_module.gd_minimize, solver_module.cccp_gradient
 
-    def counted_gd(F_init, F_t, state, graph, codec, cfg, history=None):
+    def counted_gd(F_init, F_t, state, graph, codec, cfg):
         calls.append([0, np.nan, None])
         frame = calls[-1]
-        out = gd(F_init, F_t, state, graph, codec, cfg, history)
+        out = gd(F_init, F_t, state, graph, codec, cfg)
         frame[2] = bool(frame[0] >= cfg.gd_max_iters and
                         frame[1] > cfg.resolved_grad_tol(*F_init.shape))
         return out
@@ -288,6 +290,8 @@ class TestGd:
         np.testing.assert_allclose(out, F, atol=1e-6)
 
     def test_accepted_steps_decrease_surrogate(self, rng):
+        # the descent is deterministic, so a budget of k iterations from the
+        # same start replays its first k steps
         n, c = 6, 3
         graph = random_symmetric_graph(rng, n)
         ds = Dataset(features=rng.normal(size=(n, 2)),
@@ -296,11 +300,19 @@ class TestGd:
         state = AlmState(F=rng.normal(size=(n, c)),
                          lambda1=np.abs(rng.normal(size=(n, c))),
                          lambda2=rng.normal(size=n), sigma=2.0)
-        history = []
-        gd_minimize(state.F.copy(), state.F.copy(), state, graph, codec,
-                    SolverConfig(alpha=5.0, beta=0.2), history=history)
-        assert len(history) > 1
-        assert all(b <= a for a, b in zip(history, history[1:]))
+        cfg = SolverConfig(alpha=5.0, beta=0.2)
+        F_t = state.F.copy()
+        final = gd_minimize(F_t, F_t, state, graph, codec, cfg)
+        iterates = [F_t]
+        for k in range(1, cfg.gd_max_iters + 1):
+            iterates.append(gd_minimize(F_t, F_t, state, graph, codec,
+                                        replace(cfg, gd_max_iters=k)))
+            if np.array_equal(iterates[-1], final):
+                break
+        values = [linearized_objective(F, F_t, state, graph, codec,
+                                       cfg.params()) for F in iterates]
+        assert len(values) > 2
+        assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_large_surrogate_values_do_not_stall_descent(self, rng):
         # lambda1 shifted by 1e4 makes |surrogate| about 1e8, where one ulp
