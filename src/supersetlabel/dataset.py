@@ -189,10 +189,6 @@ def load_dataset(features_path, candidates_path, truth_path=None,
             raise DataFormatError(
                 f"{candidates_path}: bad candidate list on line {line_no}: {line!r}"
             ) from None
-        if not labels:
-            raise DataFormatError(
-                f"{candidates_path}: empty candidate set on line {line_no}"
-            )
         candidates.append(labels)
     if len(candidates) != len(features):
         raise DataFormatError(
@@ -208,16 +204,22 @@ def load_dataset(features_path, candidates_path, truth_path=None,
 
     truth = None
     if truth_path is not None:
-        truth = tuple(
-            int(line) for line in Path(truth_path).read_text().splitlines()
-            if line.strip()
-        )
-        if max(truth) > c_eff:
-            if c is not None:
-                raise DataFormatError(
-                    f"truth label {max(truth)} exceeds declared class count {c}"
-                )
-            c_eff = max(truth)
+        lines = Path(truth_path).read_text().splitlines()
+        try:
+            truth = tuple(int(line) for line in lines if line.strip())
+        except ValueError:
+            # find the line here, so the parse above stays one pass
+            for line_no, line in enumerate(lines, start=1):
+                try:
+                    int(line)
+                except ValueError:
+                    if line.strip():
+                        raise DataFormatError(f"{truth_path}: bad truth label "
+                                              f"on line {line_no}: {line!r}"
+                                              ) from None
+        if len(truth) != len(features):
+            raise DataFormatError(f"{truth_path}: {len(features)} feature rows "
+                                  f"but {len(truth)} truth labels")
 
     return Dataset(features=features, candidates=tuple(candidates), c=c_eff,
                    truth=truth)

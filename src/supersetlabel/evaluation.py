@@ -1,11 +1,13 @@
 """Accuracy metrics, five-fold cross validation, parameter sweeps, and the
-Friedman rank test."""
+Friedman rank test against the exact chi-square critical value.
+
+A fold's ValueError or SolverDivergenceError is re-raised as the same class,
+with the fold number at the front of its message.
+"""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from statistics import NormalDist
 
 import numpy as np
 
@@ -13,21 +15,7 @@ from .dataset import N_FOLDS, Dataset, plan_splits
 from .graph import build_knn_graph
 from .inference import Predictor, predict_batch
 from .labelspace import encode
-from .solver import SolverConfig, SolverReport, alm_fit
-
-# Upper-tail chi-square critical values at 90% confidence, df = 1..20.
-# Larger df (or other confidence levels) use the Wilson-Hilferty cube
-# approximation, so no statistics package is needed at run time.
-_CHI2_90 = (
-    2.7055434541, 4.6051701860, 6.2513886312, 7.7794403397, 9.2363568998,
-    10.6446406757, 12.0170366238, 13.3615661365, 14.6836565733, 15.9871791721,
-    17.2750085175, 18.5493477867, 19.8119293071, 21.0641442130, 22.3071295816,
-    23.5418289231, 24.7690353439, 25.9894230826, 27.2035710294, 28.4119805843,
-)
-
-
-class CrossValidationError(RuntimeError):
-    """A per-fold failure, annotated with the fold id."""
+from .solver import SolverConfig, SolverDivergenceError, SolverReport, alm_fit
 
 
 def training_accuracy(report: SolverReport, truth) -> float:
@@ -84,8 +72,8 @@ def _cross_validate(ds: Dataset, cfg: SolverConfig, seed: int,
                 graphs[key] = build_knn_graph(ds_tr, cfg.K, cfg.theta)
             graph = graphs[key]
             report = alm_fit(graph, encode(ds_tr), cfg)
-        except Exception as e:
-            raise CrossValidationError(f"fold {fold}: {e}") from e
+        except (ValueError, SolverDivergenceError) as e:
+            raise type(e)(f"fold {fold}: {e}") from e
         train_accs.append(training_accuracy(report, ds_tr.truth))
         predictor = Predictor(train_features=ds_tr.features,
                               onehot=report.onehot, K=cfg.K, theta=graph.theta)
@@ -101,32 +89,16 @@ def _cross_validate(ds: Dataset, cfg: SolverConfig, seed: int,
     )
 
 
-def _rank_desc_with_ties(values: np.ndarray) -> np.ndarray:
-    """Ranks with 1 = largest value; tied values share the average rank."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values))
-    pos = 0
-    while pos < len(order):
-        end = pos
-        while end + 1 < len(order) and values[order[end + 1]] == values[order[pos]]:
-            end += 1
-        avg = (pos + end) / 2.0 + 1.0
-        ranks[order[pos:end + 1]] = avg
-        pos = end + 1
-    return ranks
-
-
 def chi2_critical(confidence: float, df: int) -> float:
     """Upper-tail chi-square critical value at the given confidence."""
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     if df < 1:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if confidence == 0.90 and df <= len(_CHI2_90):
-        return _CHI2_90[df - 1]
-    z = NormalDist().inv_cdf(confidence)
-    return df * (1.0 - 2.0 / (9.0 * df) + z * math.sqrt(2.0 / (9.0 * df))) ** 3
+    # imported here: at module level, scipy.special would add tens of
+    # milliseconds to every `import supersetlabel`, for this one call
+    from scipy.special import chdtri
+    return float(chdtri(df, 1.0 - confidence))
 
 
 @dataclass
@@ -153,11 +125,13 @@ def friedman_test(accuracy_table, confidence: float = 0.90) -> FriedmanResult:
     table = np.asarray(accuracy_table, dtype=float)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ValueError("need at least 2 methods and 2 datasets")
+    if not np.all(np.isfinite(table)):
+        raise ValueError("accuracy table has a non-finite value")
     k, n_datasets = table.shape
-    ranks = np.column_stack(
-        [_rank_desc_with_ties(table[:, j]) for j in range(n_datasets)]
-    )
-    mean_ranks = ranks.mean(axis=1)
+    # per column: 1 + the values above, plus half of the other tied values
+    above = (table[None] > table[:, None]).sum(axis=1)
+    tied = (table[None] == table[:, None]).sum(axis=1)
+    mean_ranks = (above + (tied + 1) / 2.0).mean(axis=1)
     statistic = (12.0 * n_datasets / (k * (k + 1))
                  * (float(np.sum(mean_ranks**2)) - k * (k + 1) ** 2 / 4.0))
     critical = chi2_critical(confidence, k - 1)

@@ -5,8 +5,8 @@ nearest training examples, weighted by the same Gaussian kernel used on the
 training graph, and takes the argmax. The neighbors come from the graph's
 search kernel under the same rule (ties to the lower index), and
 `predict_batch` scores the test points in fixed-size chunks; `predict` is
-the batch vote on one row. The ambiguous-kNN baseline does the same with
-the raw candidate vectors instead, serving as the no-disambiguation control.
+the batch vote on one row. The ambiguous-kNN baseline is `predict` over the
+raw candidate vectors instead, serving as the no-disambiguation control.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ class Predictor:
             raise ValueError(f"kernel width must be positive, got {self.theta}")
 
 
-def _clamped(K: int, n: int) -> int:
-    """K, or n with a warning when K exceeds the n training examples."""
-    if K > n:
-        warnings.warn(f"K={K} exceeds {n} training examples; clamping",
-                      stacklevel=3)
-        return n
-    return K
-
-
 def _vote(d2: np.ndarray, neighbor_rows: np.ndarray, theta: float) -> np.ndarray:
     """Score rows: the neighbors' label rows summed with Gaussian weights."""
     return np.einsum("mk,mkc->mc", np.exp(-d2 / (2.0 * theta * theta)),
@@ -64,7 +55,11 @@ def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Labels and score matrix for a batch of test points."""
     X_t = np.asarray(X_t, dtype=float)
     scores = np.empty((X_t.shape[0], p.onehot.shape[1]))
-    K = _clamped(p.K, p.train_features.shape[0])
+    K, n = p.K, p.train_features.shape[0]
+    if K > n:
+        warnings.warn(f"K={K} exceeds {n} training examples; clamping",
+                      stacklevel=2)
+        K = n
     for start in range(0, X_t.shape[0], _CHUNK):
         idx, d2 = _nearest(p.train_features, X_t[start:start + _CHUNK], K,
                            skip_self=False)
@@ -74,9 +69,5 @@ def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def baseline_ambiguous_knn(ds_train: Dataset, x_t, K: int, theta: float) -> int:
     """Weighted kNN vote over the raw (undisambiguated) candidate vectors."""
-    if theta <= 0:
-        raise ValueError(f"kernel width must be positive, got {theta}")
-    idx, d2 = _nearest(ds_train.features, np.asarray([x_t], dtype=float),
-                       _clamped(K, ds_train.n), skip_self=False)
-    Y = encode(ds_train.subset(idx[0])).Y  # only the neighbours' rows
-    return int(np.argmax(_vote(d2, Y[None], theta))) + 1
+    return predict(Predictor(ds_train.features, encode(ds_train).Y, K, theta),
+                   x_t)[0]

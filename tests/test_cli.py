@@ -169,6 +169,28 @@ class TestCv:
         assert len(lines) == 6
 
 
+class TestFoldErrors:
+    """cv and sweep keep the exit code of a fold's error and name the fold."""
+
+    def test_cv_K_too_large_is_data_error(self, synth_dir, tmp_path, capsys):
+        code = run_cli("cv", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--K", "100", "--out", str(tmp_path / "cv"))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            "error: code=DATA msg=fold 1: K must be in 1..")
+
+    def test_sweep_K_too_large_is_data_error(self, synth_dir, tmp_path,
+                                             capsys):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("K=3,100\n")
+        code = run_cli("sweep", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--grid", str(grid), "--out", str(tmp_path / "sweep"),
+                       "--loop-max", "2")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(
+            "error: code=DATA msg=fold 1: K must be in 1..")
+
+
 def run_cli_process(threads, *argv):
     """Run the CLI in a fresh interpreter with BLAS limited to threads."""
     src = str(Path(supersetlabel.__file__).resolve().parents[1])

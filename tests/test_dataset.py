@@ -43,6 +43,22 @@ class TestLoad:
         with pytest.raises(DataFormatError, match="row 2"):
             load_dataset(fp, cp, tp)
 
+    def test_empty_truth_file_named(self, tmp_path):
+        fp, cp, tp = write_files(tmp_path, [[0.0], [1.0]], ["1", "2"],
+                                 truth=[])
+        with pytest.raises(DataFormatError,
+                           match=r"truth\.txt: 2 feature rows but 0 truth"):
+            load_dataset(fp, cp, tp)
+
+    def test_bad_truth_token_names_file_and_line(self, tmp_path):
+        fp, cp, _ = write_files(tmp_path, [[0.0], [1.0], [2.0]],
+                                ["1", "2", "1"])
+        tp = tmp_path / "truth.txt"
+        tp.write_text("1\n\nx\n1\n")
+        with pytest.raises(DataFormatError,
+                           match=r"truth\.txt: bad truth label on line 3: 'x'"):
+            load_dataset(fp, cp, tp)
+
     def test_non_numeric_token(self, tmp_path):
         fp, cp, _ = write_files(tmp_path, [[0, 1], ["x", 3]], ["1", "2"])
         with pytest.raises(DataFormatError, match="non-numeric"):

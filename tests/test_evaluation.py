@@ -6,6 +6,7 @@ import scipy.stats
 
 from supersetlabel import (
     SolverConfig,
+    SolverDivergenceError,
     cross_validate,
     friedman_test,
     make_synthetic,
@@ -14,11 +15,7 @@ from supersetlabel import (
 )
 from supersetlabel import evaluation
 from supersetlabel.dataset import N_FOLDS
-from supersetlabel.evaluation import (
-    CrossValidationError,
-    _rank_desc_with_ties,
-    chi2_critical,
-)
+from supersetlabel.evaluation import chi2_critical
 from supersetlabel.solver import SolverReport
 
 
@@ -88,8 +85,17 @@ class TestCrossValidate:
             cross_validate(stripped, CV_CFG, seed=0)
 
     def test_fold_error_annotated(self):
-        with pytest.raises(CrossValidationError, match="fold 1"):
+        with pytest.raises(ValueError, match="fold 1"):
             cross_validate(CV_DS, SolverConfig(K=39), seed=0)
+
+    def test_fold_error_keeps_solver_class(self, monkeypatch):
+        def diverge(*args):
+            raise SolverDivergenceError("objective became non-finite")
+
+        monkeypatch.setattr(evaluation, "alm_fit", diverge)
+        with pytest.raises(SolverDivergenceError,
+                           match="^fold 1: objective became non-finite$"):
+            cross_validate(CV_DS, CV_CFG, seed=0)
 
     def test_accuracy_beats_candidate_guessing_floor(self):
         ds = make_synthetic(n=45, c=3, d=2, sep=5.0, p_coocc=0.8, r_extra=1,
@@ -101,29 +107,33 @@ class TestCrossValidate:
 
 
 class TestRanking:
+    """friedman_test's per-dataset ranks, seen through mean_ranks."""
+
     def test_average_ranks_on_ties(self):
-        ranks = _rank_desc_with_ties(np.array([0.3, 0.9, 0.3, 0.1]))
-        np.testing.assert_array_equal(ranks, [2.5, 1.0, 2.5, 4.0])
+        # every column alike, so the mean ranks are that column's ranks
+        column = np.array([0.3, 0.9, 0.3, 0.1])
+        result = friedman_test(np.column_stack([column, column, column]))
+        np.testing.assert_array_equal(result.mean_ranks, [2.5, 1.0, 2.5, 4.0])
 
     def test_matches_scipy(self, rng):
         for _ in range(10):
-            vals = rng.choice(np.linspace(0, 1, 7), size=6)
-            got = _rank_desc_with_ties(vals)
-            want = scipy.stats.rankdata(-vals, method="average")
+            table = rng.choice(np.linspace(0, 1, 7), size=(6, 5))
+            got = friedman_test(table).mean_ranks
+            want = scipy.stats.rankdata(-table, method="average",
+                                        axis=0).mean(axis=1)
             np.testing.assert_allclose(got, want)
+
+    def test_non_finite_accuracy(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            friedman_test([[0.9, np.nan], [0.8, 0.7]])
 
 
 class TestChi2Critical:
-    def test_table_matches_scipy(self):
-        for df in range(1, 21):
-            assert chi2_critical(0.90, df) == pytest.approx(
-                scipy.stats.chi2.ppf(0.90, df), abs=1e-6)
-
-    def test_wilson_hilferty_fallback(self):
-        for conf, df in ((0.90, 25), (0.95, 6), (0.99, 12)):
-            approx = chi2_critical(conf, df)
-            exact = scipy.stats.chi2.ppf(conf, df)
-            assert approx == pytest.approx(exact, rel=5e-3)
+    def test_matches_scipy_exactly(self):
+        for conf in (0.8, 0.9, 0.95, 0.99):
+            for df in range(1, 60):
+                assert chi2_critical(conf, df) == pytest.approx(
+                    scipy.stats.chi2.ppf(conf, df), rel=1e-12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -190,6 +200,19 @@ class TestFriedman:
                                        (1, 4)))
         assert result.statistic == 0.0
         assert not result.reject
+
+    def test_exact_critical_value_near_the_boundary(self):
+        # statistic 7.8 against 7.8147 at df 3: p = 0.0503, so no rejection
+        # at 95% (a cube-root approximation gives 7.775 and rejects)
+        table = [[.9, .9, .9, .8], [.8, .7, .7, .9], [.7, .8, .8, .6],
+                 [.6, .6, .6, .7]]
+        result = friedman_test(table, confidence=0.95)
+        assert result.statistic == pytest.approx(7.8, abs=1e-12)
+        assert result.critical_value == pytest.approx(7.8147279, abs=1e-6)
+        assert not result.reject
+        assert result.reject_per_method == (False,) * 4
+        _, p = scipy.stats.friedmanchisquare(*np.asarray(table))
+        assert p > 0.05
 
     def test_too_small(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,9 @@
 """The package's import surface: the root names, and no unused imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +59,16 @@ def test_every_import_is_used(path):
     tree = ast.parse(path.read_text())
     unused = imported_names(tree) - used_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_import_leaves_scipy_special_and_stats_unloaded():
+    # chi2_critical imports scipy.special itself: at module level it would
+    # add tens of milliseconds to every import of the package
+    src = str(PACKAGE.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, supersetlabel; "
+         "print(sorted({'scipy.special', 'scipy.stats'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert loaded.stdout.strip() == "[]"

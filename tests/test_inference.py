@@ -147,3 +147,9 @@ class TestBaseline:
                      candidates=((1,), (2,), (1,)), c=2)
         with pytest.raises(ValueError):
             baseline_ambiguous_knn(ds, np.zeros(2), K=1, theta=-1.0)
+
+    def test_invalid_K(self, rng):
+        ds = Dataset(features=rng.normal(size=(3, 2)),
+                     candidates=((1,), (2,), (1,)), c=2)
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            baseline_ambiguous_knn(ds, np.zeros(2), K=0, theta=1.0)
