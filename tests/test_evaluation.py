@@ -135,6 +135,19 @@ class TestChi2Critical:
                 assert chi2_critical(conf, df) == pytest.approx(
                     scipy.stats.chi2.ppf(conf, df), rel=1e-12)
 
+    def test_table_matches_scipy(self):
+        # 90% critical values for df 1-20, the range most Friedman tests use
+        for df in range(1, 21):
+            assert chi2_critical(0.90, df) == pytest.approx(
+                scipy.stats.chi2.ppf(0.90, df), rel=1e-12)
+
+    def test_wilson_hilferty_fallback(self):
+        # points where a Wilson-Hilferty approximation is off by up to 0.5%;
+        # the exact value must not be
+        for conf, df in ((0.90, 25), (0.95, 6), (0.99, 12)):
+            assert chi2_critical(conf, df) == pytest.approx(
+                scipy.stats.chi2.ppf(conf, df), rel=1e-12)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             chi2_critical(1.5, 3)
