@@ -41,58 +41,49 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
 
-_BOOL_KEYS = {"deterministic", "normalize"}
-
 
 def auto_or_float(raw: str):
     return raw if raw == "auto" else float(raw)
 
 
-# how each solver knob is read from a flag or a config file, from the type
-# of its default (gd_grad_tol defaults to None and is a float)
-_SOLVER_PARSERS = {
-    f.name: auto_or_float if f.name == "theta"
-    else int if type(f.default) is int else float
-    for f in dataclasses.fields(SolverConfig)
+def _truthy(raw: str) -> bool:
+    return raw.strip().lower() in ("1", "true", "yes", "on")
+
+
+# every setting of a fit, cv or sweep run: the reader of its flag, --config
+# and --grid values, and its default. A solver knob is read by the type of
+# its default (gd_grad_tol defaults to None and is a float).
+_SETTINGS = {
+    **{f.name: (auto_or_float if f.name == "theta"
+                else int if type(f.default) is int else float, f.default)
+       for f in dataclasses.fields(SolverConfig)},
+    "seed": (int, 0),
+    "deterministic": (_truthy, False),
+    "normalize": (_truthy, False),
+    **{path: (str, None) for path in ("features", "candidates", "truth",
+                                      "manifest")},
 }
+_HELP = {
+    "theta": "kernel width, or 'auto' for the mean kNN distance",
+    "deterministic": "accepted and ignored: outputs are byte-identical "
+                     "across runs and BLAS thread counts without it",
+    "normalize": "scale feature rows to unit length",
+    "truth": "ground-truth labels; cv and sweep require them",
+    "manifest": "dataset manifest; replaces the three file flags",
+}
+_GRID_KEYS = ("alpha", "beta", "K")
 
 
-def _parse_value(key: str, raw: str):
-    if key in _BOOL_KEYS:
-        return raw.strip().lower() in ("1", "true", "yes", "on")
-    if key == "seed":
-        return int(raw)
-    return _SOLVER_PARSERS.get(key, str)(raw)
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    for name, parse in _SOLVER_PARSERS.items():
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse,
-                       default=None,
-                       help="kernel width, or 'auto' for the mean kNN distance"
-                       if name == "theta" else None)
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    """--out, --config and one flag per setting, for fit, cv and sweep."""
+    p.add_argument("--out", required=True)
+    p.add_argument("--config",
                    help="flat key=value file; explicit flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_const", const=True,
-                   default=None,
-                   help="accepted and ignored: outputs are byte-identical "
-                        "across runs and BLAS thread counts without it")
-    p.add_argument("--normalize", action="store_const", const=True,
-                   default=None, help="scale feature rows to unit length")
-
-
-def _add_data_flags(p: argparse.ArgumentParser, truth_required=False) -> None:
-    p.add_argument("--features", default=None)
-    p.add_argument("--candidates", default=None)
-    p.add_argument("--truth", default=None,
-                   help="ground-truth labels" +
-                        (" (required)" if truth_required else ""))
-    p.add_argument("--manifest", default=None,
-                   help="dataset manifest; replaces the three file flags")
+    for key, (read, _) in _SETTINGS.items():
+        kind = ({"action": "store_const", "const": True} if read is _truthy
+                else {"type": read})
+        p.add_argument("--" + key.replace("_", "-"), dest=key,
+                       help=_HELP.get(key), **kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,30 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="disambiguate a training set")
-    _add_data_flags(p_fit)
-    p_fit.add_argument("--out", required=True)
-    _add_solver_flags(p_fit)
-    _add_common_flags(p_fit)
+    _add_run_flags(sub.add_parser("fit", help="disambiguate a training set"))
 
     p_pred = sub.add_parser("predict", help="label new examples from a fit")
     p_pred.add_argument("--model", required=True, help="output dir of a fit run")
     p_pred.add_argument("--features", required=True)
     p_pred.add_argument("--out", required=True, help="prediction CSV path")
 
-    p_cv = sub.add_parser("cv", help="five-fold cross validation")
-    _add_data_flags(p_cv, truth_required=True)
-    p_cv.add_argument("--out", required=True)
-    _add_solver_flags(p_cv)
-    _add_common_flags(p_cv)
+    _add_run_flags(sub.add_parser("cv", help="five-fold cross validation"))
 
     p_sweep = sub.add_parser("sweep", help="cross-validate over a parameter grid")
-    _add_data_flags(p_sweep, truth_required=True)
     p_sweep.add_argument("--grid", required=True,
                          help="key=value file with comma lists for alpha, beta, K")
-    p_sweep.add_argument("--out", required=True)
-    _add_solver_flags(p_sweep)
-    _add_common_flags(p_sweep)
+    _add_run_flags(p_sweep)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset")
     p_synth.add_argument("--n", type=int, required=True)
@@ -151,48 +131,55 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
-    merged: dict = {f.name: f.default for f in dataclasses.fields(SolverConfig)}
-    merged.update({"seed": 0, "deterministic": False, "normalize": False,
-                   "features": None, "candidates": None, "truth": None,
-                   "manifest": None})
-    if getattr(args, "config", None):
+    merged = {key: default for key, (_, default) in _SETTINGS.items()}
+    if args.config:
         for k, v in read_kv_file(args.config).items():
-            if k not in merged:
+            if k not in _SETTINGS:
                 raise DataFormatError(f"unknown config key {k!r}")
-            merged[k] = _parse_value(k, v)
-    for k in list(merged):
-        v = getattr(args, k, None)
-        if v is not None:
-            merged[k] = v
+            merged[k] = _SETTINGS[k][0](v)
+    merged.update({k: getattr(args, k) for k in merged
+                   if getattr(args, k) is not None})
     return merged
 
 
-def solver_config(merged: dict) -> SolverConfig:
+def _read_grid(path) -> dict[str, list]:
+    """The comma lists of a sweep grid file, each value read as its setting."""
+    grid = read_kv_file(path)
+    for key in grid:
+        if key not in _GRID_KEYS:
+            raise DataFormatError(
+                f"{path}: grid key {key!r} is not alpha, beta or K")
+    return {k: [_SETTINGS[k][0](v) for v in grid[k].split(",")]
+            for k in _GRID_KEYS if k in grid}
+
+
+def _start(args, command: str) -> tuple[Dataset, SolverConfig, int, Path]:
+    """Check every input of a fit, cv or sweep run, then create --out and echo
+    the merged settings to effective_config.txt in it."""
+    merged = resolve_config(args)
+    if merged["manifest"]:
+        ds = load_manifest(merged["manifest"])
+    elif merged["features"] and merged["candidates"]:
+        ds = load_dataset(merged["features"], merged["candidates"],
+                          truth_path=merged["truth"])
+    else:
+        raise DataFormatError(
+            "need --manifest or both --features and --candidates")
+    if merged["normalize"]:
+        ds = normalize_unit_length(ds)
+    if command == "cv" and ds.truth is None:
+        raise DataFormatError("cv requires ground-truth labels (--truth)")
     try:
-        return SolverConfig(**{k: merged[k] for k in _SOLVER_PARSERS})
+        cfg = SolverConfig(**{f.name: merged[f.name]
+                              for f in dataclasses.fields(SolverConfig)})
     except ValueError as e:  # a knob out of range is a usage error
         raise argparse.ArgumentTypeError(e) from None
-
-
-def _echo_config(merged: dict, cmd: str, out_dir: Path) -> None:
-    write_kv_file(out_dir / "effective_config.txt", [("command", cmd)] + [
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_kv_file(out / "effective_config.txt", [("command", command)] + [
         (k, str(v).lower() if isinstance(v, bool) else v)
         for k, v in sorted(merged.items()) if v is not None])
-
-
-def _load_from_args(args, merged) -> Dataset:
-    if merged.get("manifest"):
-        ds = load_manifest(merged["manifest"])
-    else:
-        if not merged.get("features") or not merged.get("candidates"):
-            raise DataFormatError(
-                "need --manifest or both --features and --candidates"
-            )
-        ds = load_dataset(merged["features"], merged["candidates"],
-                          truth_path=merged.get("truth"))
-    if merged.get("normalize"):
-        ds = normalize_unit_length(ds)
-    return ds
+    return ds, cfg, merged["seed"], out
 
 
 def _fmt(x: float) -> str:
@@ -209,13 +196,7 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def cmd_fit(args) -> int:
-    merged = resolve_config(args)
-    ds = _load_from_args(args, merged)
-    cfg = solver_config(merged)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(merged, "fit", out)
-
+    ds, cfg, _, out = _start(args, "fit")
     graph = build_knn_graph(ds, cfg.K, cfg.theta)
     report = alm_fit(graph, encode(ds), cfg)
 
@@ -261,15 +242,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    merged = resolve_config(args)
-    ds = _load_from_args(args, merged)
-    if ds.truth is None:
-        raise DataFormatError("cv requires ground-truth labels (--truth)")
-    cfg = solver_config(merged)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(merged, "cv", out)
-    result = cross_validate(ds, cfg, merged["seed"])
+    ds, cfg, seed, out = _start(args, "cv")
+    result = cross_validate(ds, cfg, seed)
     _write_csv(out / "results.csv", "fold,train_acc,test_acc",
                ((fold, *accs) for fold, accs in enumerate(
                    zip(result.fold_train_acc, result.fold_test_acc), start=1)))
@@ -279,17 +253,10 @@ def cmd_cv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    merged = resolve_config(args)
-    ds = _load_from_args(args, merged)
-    cfg = solver_config(merged)
-    grid = read_kv_file(args.grid)
-    alphas = [float(v) for v in grid.get("alpha", str(cfg.alpha)).split(",")]
-    betas = [float(v) for v in grid.get("beta", str(cfg.beta)).split(",")]
-    Ks = [int(v) for v in grid.get("K", str(cfg.K)).split(",")]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(merged, "sweep", out)
-    rows = sweep(ds, alphas, betas, Ks, cfg, merged["seed"])
+    grid = _read_grid(args.grid)  # a bad grid is rejected before --out exists
+    ds, cfg, seed, out = _start(args, "sweep")
+    rows = sweep(ds, *(grid.get(k, [getattr(cfg, k)]) for k in _GRID_KEYS),
+                 cfg, seed)
     _write_csv(out / "sweep.csv",
                "alpha,beta,K,mean_train,std_train,mean_test,std_test",
                ((r.alpha, r.beta, r.K, r.mean_train, r.std_train, r.mean_test,
@@ -337,6 +304,9 @@ def _parse_accuracy_table(path) -> tuple[list[str], list[list[float]]]:
 
 
 def cmd_friedman(args) -> int:
+    if not 0 < args.confidence < 1:
+        raise argparse.ArgumentTypeError(
+            f"--confidence must be in (0, 1), got {args.confidence}")
     names, rows = _parse_accuracy_table(args.table)
     result = friedman_test(np.asarray(rows), confidence=args.confidence)
     print(f"friedman: statistic={_fmt(result.statistic)} "

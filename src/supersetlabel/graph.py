@@ -5,7 +5,9 @@ the other; edge weights come from a Gaussian kernel on Euclidean distance.
 The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
 
 `_nearest` is the one neighbor search of the package; the graph, `theta`
-and the test-time vote (inference.py) all rank rows through it.
+and the test-time vote (inference.py) all rank rows through it. The vote
+also shares the graph's kernel, `gaussian_weight`, and its rule for a
+kernel width, `check_theta`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,18 @@ class KnnGraph:
     def laplacian_apply(self, F: np.ndarray) -> np.ndarray:
         """L @ F without materializing L."""
         return self.degrees[:, None] * F - self.W @ F
+
+
+def check_theta(theta: float) -> float:
+    """theta, if it is a finite positive kernel width; else a ValueError."""
+    if not 0 < theta < np.inf:
+        raise ValueError(f"theta must be finite and positive, got {theta}")
+    return theta
+
+
+def gaussian_weight(d2: np.ndarray, theta: float) -> np.ndarray:
+    """The kernel on squared distances: exp(-d2 / (2 theta^2))."""
+    return np.exp(-d2 / (2.0 * theta * theta))
 
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,11 +137,9 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     if not 1 <= K <= n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
     nbr_idx, nbr_d2 = _nearest(ds.features, ds.features, K, skip_self=True)
-    theta = _mean_distance(nbr_d2) if theta == "auto" else float(theta)
-    if theta <= 0:
-        raise ValueError(f"kernel width must be positive, got {theta}")
-
-    w = np.exp(-nbr_d2 / (2.0 * theta * theta))
+    theta = check_theta(
+        _mean_distance(nbr_d2) if theta == "auto" else float(theta))
+    w = gaussian_weight(nbr_d2, theta)
     W = sp.csr_matrix((w.ravel(), nbr_idx.ravel(), np.arange(0, n * K + 1, K)),
                       shape=(n, n))
     return KnnGraph(W=W.maximum(W.T), K=K, theta=theta)

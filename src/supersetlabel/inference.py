@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .graph import _nearest
+from .graph import _nearest, check_theta, gaussian_weight
 from .labelspace import encode
 
 _CHUNK = 256  # test points scored together; bounds the scan's working set
@@ -35,14 +35,7 @@ class Predictor:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be at least 1, got {self.K}")
-        if self.theta <= 0:
-            raise ValueError(f"kernel width must be positive, got {self.theta}")
-
-
-def _vote(d2: np.ndarray, neighbor_rows: np.ndarray, theta: float) -> np.ndarray:
-    """Score rows: the neighbors' label rows summed with Gaussian weights."""
-    return np.einsum("mk,mkc->mc", np.exp(-d2 / (2.0 * theta * theta)),
-                     neighbor_rows)
+        check_theta(self.theta)
 
 
 def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
@@ -63,7 +56,9 @@ def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for start in range(0, X_t.shape[0], _CHUNK):
         idx, d2 = _nearest(p.train_features, X_t[start:start + _CHUNK], K,
                            skip_self=False)
-        scores[start:start + _CHUNK] = _vote(d2, p.onehot[idx], p.theta)
+        # each score row is its neighbors' label rows, summed by kernel weight
+        scores[start:start + _CHUNK] = np.einsum(
+            "mk,mkc->mc", gaussian_weight(d2, p.theta), p.onehot[idx])
     return np.argmax(scores, axis=1) + 1, scores
 
 

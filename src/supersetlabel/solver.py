@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .graph import KnnGraph
+from .graph import KnnGraph, check_theta
 from .labelspace import LabelCodec
 from .objective import (
     SIGMA_CAP,
@@ -67,9 +67,8 @@ class SolverConfig:
         self.params()  # alpha, beta >= 0
         if self.K < 1:
             raise ValueError(f"K must be at least 1, got {self.K}")
-        if self.theta != "auto" and not 0 < self.theta < np.inf:
-            raise ValueError(f"theta must be 'auto' or finite and positive, "
-                             f"got {self.theta}")
+        if self.theta != "auto":
+            check_theta(self.theta)
         if self.rho <= 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
         if not 0 < self.sigma0 <= self.sigma_cap <= SIGMA_CAP:

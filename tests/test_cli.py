@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -16,9 +17,17 @@ from supersetlabel.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
                                main, read_kv_file)
 from supersetlabel.solver import SolverConfig
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def subparsers():
+    """The parser of each subcommand, by name."""
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +146,24 @@ class TestPredict:
         assert err.startswith("error: code=DATA")
         assert "\n" not in err.strip()
 
+    def test_nan_theta_in_model_is_data_error(self, synth_dir, tmp_path,
+                                              capsys):
+        model = tmp_path / "model"
+        run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                "--out", str(model), *FAST)
+        meta = model / "model_meta.txt"
+        theta = read_kv_file(meta)["theta"]
+        meta.write_text(meta.read_text().replace(f"theta={theta}",
+                                                 "theta=nan"))
+        pred_path = tmp_path / "pred.csv"
+        code = run_cli("predict", "--model", str(model),
+                       "--features", str(synth_dir / "features.tsv"),
+                       "--out", str(pred_path))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=DATA") and "theta" in err
+        assert not pred_path.exists()
+
     @pytest.mark.parametrize("text", ["# x\ty\n1\t2\n", "1 2\n3 4\n"],
                              ids=["comment", "spaces"])
     def test_features_read_by_the_fit_rule(self, synth_dir, tmp_path, capsys,
@@ -237,6 +264,26 @@ class TestSweep:
         assert lines[0] == "alpha,beta,K,mean_train,std_train,mean_test,std_test"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("line, key", [
+        pytest.param("k=3,4", "k", id="lowercase_k"),
+        pytest.param("theta=1", "theta", id="theta"),
+        pytest.param("K=3.5", None, id="K_not_int"),
+    ])
+    def test_bad_grid_is_data_error(self, synth_dir, tmp_path, capsys, line,
+                                    key):
+        # a grid sets only alpha, beta and K, each read as its --config value
+        grid = tmp_path / "grid.txt"
+        grid.write_text(line + "\n")
+        out = tmp_path / "sweep"
+        code = run_cli("sweep", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--grid", str(grid), "--out", str(out))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=DATA")
+        if key is not None:
+            assert f"{grid}: grid key {key!r}" in err
+        assert not out.exists()  # rejected before any work
+
 
 class TestFriedman:
     def test_hand_table(self, tmp_path, capsys):
@@ -256,6 +303,18 @@ class TestFriedman:
         lines = out.read_text().splitlines()
         assert lines[0] == "method,mean_rank,differs_from_best"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("confidence", ["1.5", "0", "nan"])
+    def test_confidence_out_of_range_is_usage_error(self, tmp_path, capsys,
+                                                    confidence):
+        table = tmp_path / "table.csv"
+        table.write_text("0.9,0.8\n0.5,0.6\n")
+        code = run_cli("friedman", "--table", str(table),
+                       "--confidence", confidence)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=USAGE") and "confidence" in err
+        assert "\n" not in err.strip()
 
     def test_unnamed_rows(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -340,9 +399,7 @@ class TestConfigHandling:
     def test_solver_flags_match_config_fields(self, command):
         # the solver knobs are listed both in SolverConfig and in the CLI;
         # every field needs a flag, and a flag that is not a field is ignored
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for a in sub.choices[command]._actions}
+        dests = {a.dest for a in subparsers()[command]._actions}
         other = {"help", "config", "seed", "deterministic", "normalize",
                  "features", "candidates", "truth", "manifest", "out", "grid"}
         fields = {f.name for f in dataclasses.fields(SolverConfig)}
@@ -352,3 +409,50 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as exc:
             run_cli("fit", "--bogus", "1")
         assert exc.value.code == 2
+
+    # a value off the default for every setting but the data paths; the two
+    # switches are set by a bare flag and by "true" in a config file
+    SETTING_VALUES = {
+        "alpha": "50", "beta": "0.02", "K": "4", "theta": "0.7", "rho": "1.2",
+        "sigma0": "2", "sigma_cap": "1e6", "t_max": "5", "eps0": "1e-5",
+        "loop_max": "3", "eps1": "1e-3", "gd_max_iters": "50",
+        "gd_grad_tol": "1e-4", "seed": "5", "deterministic": "true",
+        "normalize": "true",
+    }
+
+    @pytest.mark.parametrize("key", sorted(
+        {a.dest for a in subparsers()["fit"]._actions}
+        - {"help", "out", "config", "features", "candidates", "truth",
+           "manifest"}))
+    def test_flag_and_config_read_alike(self, synth_dir, tmp_path, key):
+        value = self.SETTING_VALUES[key]
+        base = {"alpha": "100", "loop_max": "2", "K": "3"}
+        base.pop(key, None)
+        flag = "--" + key.replace("_", "-")
+        runs = {"flag": ([flag] if value == "true" else [flag, value], {}),
+                "config": ([], {key: value})}
+        echoes = []
+        for name, (flags, lines) in runs.items():
+            cfgfile = tmp_path / f"{name}.cfg"
+            cfgfile.write_text("".join(f"{k}={v}\n"
+                                       for k, v in {**base, **lines}.items()))
+            out = tmp_path / name
+            assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                           "--config", str(cfgfile), *flags,
+                           "--out", str(out)) == EXIT_OK
+            echoes.append((out / "effective_config.txt").read_text())
+        assert echoes[0] == echoes[1]
+        assert f"{key}=" in echoes[0]
+
+
+def test_readme_cli_examples_parse():
+    # the README's CLI block names every command, with flags the parser takes
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("supersetlabel ")]
+    assert {line.split()[1] for line in lines} == set(subparsers())
+    for line in lines:
+        try:
+            build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")

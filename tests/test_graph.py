@@ -50,6 +50,12 @@ class TestGaussianWeight:
         with pytest.raises(ValueError):
             build_knn_graph(point_dataset([[0.0], [1.0]]), K=1, theta=0.0)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta(self, theta):
+        # a NaN width would make every weight NaN, an infinite one every 1
+        with pytest.raises(ValueError, match="theta"):
+            build_knn_graph(point_dataset([[0.0], [1.0]]), K=1, theta=theta)
+
 
 class TestBuildGraph:
     def test_collinear_or_rule(self):

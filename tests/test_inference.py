@@ -97,6 +97,12 @@ class TestPredict:
         assert scores2[0] == scores2[1]
         assert label2 == 1  # score tie resolves to the smallest class index
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_non_finite_theta(self, theta):
+        # a NaN width would score every point NaN and label it 1
+        with pytest.raises(ValueError, match="theta"):
+            Predictor(np.zeros((2, 1)), np.eye(2), K=1, theta=theta)
+
 
 class TestNeighborRule:
     @pytest.mark.parametrize("K", [3, 4, 8])
