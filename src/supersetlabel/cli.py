@@ -47,7 +47,11 @@ def auto_or_float(raw: str):
 
 
 def _truthy(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
+    """A switch word: 1/true/yes/on or 0/false/no/off, in any case."""
+    word = raw.strip().lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(f"{raw!r} is not true/false, 1/0, yes/no or on/off")
+    return word in ("1", "true", "yes", "on")
 
 
 # every setting of a fit, cv or sweep run: the reader of its flag, --config
@@ -133,24 +137,11 @@ def resolve_config(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (flags win)."""
     merged = {key: default for key, (_, default) in _SETTINGS.items()}
     if args.config:
-        for k, v in read_kv_file(args.config).items():
-            if k not in _SETTINGS:
-                raise DataFormatError(f"unknown config key {k!r}")
-            merged[k] = _SETTINGS[k][0](v)
+        merged.update(read_kv_file(args.config, {
+            key: read for key, (read, _) in _SETTINGS.items()}))
     merged.update({k: getattr(args, k) for k in merged
                    if getattr(args, k) is not None})
     return merged
-
-
-def _read_grid(path) -> dict[str, list]:
-    """The comma lists of a sweep grid file, each value read as its setting."""
-    grid = read_kv_file(path)
-    for key in grid:
-        if key not in _GRID_KEYS:
-            raise DataFormatError(
-                f"{path}: grid key {key!r} is not alpha, beta or K")
-    return {k: [_SETTINGS[k][0](v) for v in grid[k].split(",")]
-            for k in _GRID_KEYS if k in grid}
 
 
 def _start(args, command: str) -> tuple[Dataset, SolverConfig, int, Path]:
@@ -167,8 +158,8 @@ def _start(args, command: str) -> tuple[Dataset, SolverConfig, int, Path]:
             "need --manifest or both --features and --candidates")
     if merged["normalize"]:
         ds = normalize_unit_length(ds)
-    if command == "cv" and ds.truth is None:
-        raise DataFormatError("cv requires ground-truth labels (--truth)")
+    if command != "fit" and ds.truth is None:
+        raise DataFormatError(f"{command} requires ground-truth labels (--truth)")
     try:
         cfg = SolverConfig(**{f.name: merged[f.name]
                               for f in dataclasses.fields(SolverConfig)})
@@ -216,17 +207,19 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+MODEL_META_KEYS = {"n": int, "d": int, "c": int, "K": int, "theta": float}
+
+
 def cmd_predict(args) -> int:
     model_dir = Path(args.model)
-    meta = read_kv_file(model_dir / "model_meta.txt")
-    onehot = np.loadtxt(model_dir / "onehot.csv", delimiter=",", ndmin=2)
+    meta = read_kv_file(model_dir / "model_meta.txt", MODEL_META_KEYS,
+                        required=("K", "theta"))
+    try:
+        onehot = np.loadtxt(model_dir / "onehot.csv", delimiter=",", ndmin=2)
+    except ValueError as e:
+        raise DataFormatError(f"{model_dir / 'onehot.csv'}: {e}") from None
     train_features = read_features(model_dir / "model_features.tsv")
-    predictor = Predictor(
-        train_features=train_features,
-        onehot=onehot,
-        K=int(meta["K"]),
-        theta=float(meta["theta"]),
-    )
+    predictor = Predictor(train_features, onehot, meta["K"], meta["theta"])
     X = read_features(args.features)
     if X.shape[1] != train_features.shape[1]:
         raise DataFormatError(
@@ -253,7 +246,11 @@ def cmd_cv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    grid = _read_grid(args.grid)  # a bad grid is rejected before --out exists
+    # a grid value is a comma list, each item read as its setting; a bad grid
+    # is rejected before --out exists
+    grid = read_kv_file(args.grid, {
+        k: lambda raw, read=_SETTINGS[k][0]: [read(v) for v in raw.split(",")]
+        for k in _GRID_KEYS})
     ds, cfg, seed, out = _start(args, "sweep")
     rows = sweep(ds, *(grid.get(k, [getattr(cfg, k)]) for k in _GRID_KEYS),
                  cfg, seed)

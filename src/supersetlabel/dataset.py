@@ -143,8 +143,11 @@ def write_features(path, X) -> None:
     np.savetxt(path, X, fmt="%.17g", delimiter="\t")
 
 
-def read_kv_file(path) -> dict[str, str]:
-    """Read key=value lines; blank lines and '#' comment lines are skipped."""
+def read_kv_file(path, readers, required=()) -> dict:
+    """Read key=value lines ('#' comments and blank lines skipped), each value
+    by its key's reader. A line without '=', a key not in readers, a value its
+    reader rejects (ValueError) and a missing required key are each a
+    DataFormatError naming the file and the key."""
     kv = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -152,9 +155,33 @@ def read_kv_file(path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise DataFormatError(f"{path}: expected key=value, got {line!r}")
-        k, v = line.split("=", 1)
-        kv[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k not in readers:
+            raise DataFormatError(f"{path}: unknown key {k!r}, expected one "
+                                  f"of {', '.join(readers)}")
+        try:
+            kv[k] = readers[k](v)
+        except ValueError as e:
+            raise DataFormatError(
+                f"{path}: bad value for key {k!r}: {e}") from None
+    for k in required:
+        if k not in kv:
+            raise DataFormatError(f"{path}: missing key {k!r}")
     return kv
+
+
+def read_lines(path, what: str, parse) -> list:
+    """parse(line) for every non-blank line of a file. A line that parse
+    rejects (ValueError) is an error naming the file and its 1-based line."""
+    rows = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            if line.strip():
+                rows.append(parse(line))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: bad {what} on line {n}: {line!r}") from None
+    return rows
 
 
 def write_kv_file(path, items) -> None:
@@ -175,25 +202,12 @@ def load_dataset(features_path, candidates_path, truth_path=None,
                     the declared count is an error
     """
     features = read_features(features_path)
-    candidates_path = Path(candidates_path)
-
-    candidates = []
-    for line_no, line in enumerate(
-        candidates_path.read_text().splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        try:
-            labels = tuple(int(t) for t in line.replace(" ", "").split(","))
-        except ValueError:
-            raise DataFormatError(
-                f"{candidates_path}: bad candidate list on line {line_no}: {line!r}"
-            ) from None
-        candidates.append(labels)
+    candidates = read_lines(
+        candidates_path, "candidate list",
+        lambda line: tuple(int(t) for t in line.replace(" ", "").split(",")))
     if len(candidates) != len(features):
-        raise DataFormatError(
-            f"{len(features)} feature rows but {len(candidates)} candidate lines"
-        )
+        raise DataFormatError(f"{candidates_path}: {len(features)} feature rows "
+                              f"but {len(candidates)} candidate lines")
 
     max_seen = max(max(s) for s in candidates)
     if c is not None and max_seen > c:
@@ -204,19 +218,7 @@ def load_dataset(features_path, candidates_path, truth_path=None,
 
     truth = None
     if truth_path is not None:
-        lines = Path(truth_path).read_text().splitlines()
-        try:
-            truth = tuple(int(line) for line in lines if line.strip())
-        except ValueError:
-            # find the line here, so the parse above stays one pass
-            for line_no, line in enumerate(lines, start=1):
-                try:
-                    int(line)
-                except ValueError:
-                    if line.strip():
-                        raise DataFormatError(f"{truth_path}: bad truth label "
-                                              f"on line {line_no}: {line!r}"
-                                              ) from None
+        truth = tuple(read_lines(truth_path, "truth label", int))
         if len(truth) != len(features):
             raise DataFormatError(f"{truth_path}: {len(features)} feature rows "
                                   f"but {len(truth)} truth labels")
@@ -254,25 +256,23 @@ def save_dataset(ds: Dataset, out_dir) -> dict[str, Path]:
     return paths
 
 
+MANIFEST_KEYS = {"n": int, "d": int, "c": int,
+                 "features": str, "candidates": str, "truth": str}
+
+
 def load_manifest(manifest_path) -> Dataset:
     """Load a Dataset via a key=value manifest (paths relative to it)."""
     manifest_path = Path(manifest_path)
-    kv = read_kv_file(manifest_path)
-    for key in ("features", "candidates"):
-        if key not in kv:
-            raise DataFormatError(f"{manifest_path}: missing {key}= entry")
+    kv = read_kv_file(manifest_path, MANIFEST_KEYS,
+                      required=("features", "candidates"))
     base = manifest_path.parent
-    ds = load_dataset(
-        base / kv["features"],
-        base / kv["candidates"],
-        truth_path=base / kv["truth"] if "truth" in kv else None,
-        c=int(kv["c"]) if "c" in kv else None,
-    )
+    ds = load_dataset(base / kv["features"], base / kv["candidates"],
+                      base / kv["truth"] if "truth" in kv else None,
+                      kv.get("c"))
     for key, actual in (("n", ds.n), ("d", ds.d)):
-        if key in kv and int(kv[key]) != actual:
-            raise DataFormatError(
-                f"{manifest_path}: declared {key}={kv[key]} but data has {actual}"
-            )
+        if key in kv and kv[key] != actual:
+            raise DataFormatError(f"{manifest_path}: declared {key}={kv[key]} "
+                                  f"but data has {actual}")
     return ds
 
 

@@ -36,6 +36,9 @@ class Predictor:
         if self.K < 1:
             raise ValueError(f"K must be at least 1, got {self.K}")
         check_theta(self.theta)
+        if len(self.onehot) != len(self.train_features):
+            raise ValueError(f"{len(self.onehot)} onehot rows but "
+                             f"{len(self.train_features)} train_features rows")
 
 
 def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:

@@ -2,7 +2,9 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import re
 import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +15,10 @@ import pytest
 import supersetlabel
 from supersetlabel import (Predictor, alm_fit, build_knn_graph, encode,
                            load_manifest, predict_batch)
-from supersetlabel.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser,
-                               main, read_kv_file)
+from supersetlabel.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE,
+                               MODEL_META_KEYS, _truthy, build_parser, main,
+                               read_kv_file)
+from supersetlabel.dataset import MANIFEST_KEYS
 from supersetlabel.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -42,6 +46,23 @@ def synth_dir(tmp_path_factory):
 FAST = ["--alpha", "100", "--loop-max", "8", "--K", "3"]
 
 
+@pytest.fixture(scope="module")
+def fitted_model(synth_dir, tmp_path_factory):
+    model = tmp_path_factory.mktemp("fitted") / "model"
+    assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                   "--out", str(model), *FAST) == EXIT_OK
+    return model
+
+
+def assert_data_error(capsys, *parts):
+    """stderr is one DATA error line that contains every part."""
+    err = capsys.readouterr().err
+    assert err.startswith("error: code=DATA msg=")
+    assert "\n" not in err.strip()
+    for part in parts:
+        assert part in err
+
+
 class TestFit:
     def test_smoke_outputs(self, synth_dir, tmp_path):
         out = tmp_path / "fit"
@@ -66,6 +87,23 @@ class TestFit:
         code = run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
                        "--out", str(out), *FAST)
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("line, message", [
+        ("c=x", "bad value for key 'c'"),
+        ("labels=labels.txt", "unknown key 'labels'"),
+    ], ids=["c_not_int", "unknown_key"])
+    def test_bad_manifest_is_data_error(self, synth_dir, tmp_path, capsys,
+                                        line, message):
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text("".join(
+            f"{role}={synth_dir / name}\n" for role, name in [
+                ("features", "features.tsv"), ("candidates", "candidates.txt"),
+                ("truth", "truth.txt")]) + line + "\n")
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--manifest", str(manifest),
+                       "--out", str(out), *FAST) == EXIT_DATA
+        assert_data_error(capsys, f"msg={manifest}: {message}")
+        assert not out.exists()
 
     def test_trace_csv(self, synth_dir, tmp_path):
         out = tmp_path / "fit"
@@ -116,8 +154,8 @@ class TestPredict:
                        *FAST) == EXIT_OK
         ds = load_manifest(synth_dir / "manifest.txt")
         graph = build_knn_graph(ds, K=3, theta="auto")
-        meta = read_kv_file(model / "model_meta.txt")
-        assert float(meta["theta"]) == graph.theta
+        meta = read_kv_file(model / "model_meta.txt", MODEL_META_KEYS)
+        assert meta["theta"] == graph.theta
 
         X = np.random.default_rng(3).normal(scale=3.0, size=(25, 2))
         np.savetxt(tmp_path / "test.tsv", X, fmt="%.17g", delimiter="\t")
@@ -152,7 +190,7 @@ class TestPredict:
         run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
                 "--out", str(model), *FAST)
         meta = model / "model_meta.txt"
-        theta = read_kv_file(meta)["theta"]
+        theta = read_kv_file(meta, dict.fromkeys(MODEL_META_KEYS, str))["theta"]
         meta.write_text(meta.read_text().replace(f"theta={theta}",
                                                  "theta=nan"))
         pred_path = tmp_path / "pred.csv"
@@ -162,6 +200,31 @@ class TestPredict:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: code=DATA") and "theta" in err
+        assert not pred_path.exists()
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^K=.*\n", "", t),
+         "{model}/model_meta.txt: missing key 'K'"),
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^theta=.*\n", "", t),
+         "{model}/model_meta.txt: missing key 'theta'"),
+        ("onehot.csv", lambda t: "".join(t.splitlines(True)[:25]),
+         "25 onehot rows but 40 train_features rows"),
+        ("model_features.tsv", lambda t: "".join(t.splitlines(True)[:25]),
+         "40 onehot rows but 25 train_features rows"),
+        ("onehot.csv", lambda t: "x" + t[1:],
+         "{model}/onehot.csv: could not convert string 'x'"),
+    ], ids=["no_K", "no_theta", "short_onehot", "short_features",
+            "onehot_token"])
+    def test_bad_model_is_data_error(self, fitted_model, synth_dir, tmp_path,
+                                     capsys, name, edit, message):
+        model = tmp_path / "model"
+        shutil.copytree(fitted_model, model)
+        (model / name).write_text(edit((model / name).read_text()))
+        pred_path = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", str(model),
+                       "--features", str(synth_dir / "features.tsv"),
+                       "--out", str(pred_path)) == EXIT_DATA
+        assert_data_error(capsys, message.format(model=model))
         assert not pred_path.exists()
 
     @pytest.mark.parametrize("text", ["# x\ty\n1\t2\n", "1 2\n3 4\n"],
@@ -267,7 +330,8 @@ class TestSweep:
     @pytest.mark.parametrize("line, key", [
         pytest.param("k=3,4", "k", id="lowercase_k"),
         pytest.param("theta=1", "theta", id="theta"),
-        pytest.param("K=3.5", None, id="K_not_int"),
+        pytest.param("K=3.5", "K", id="K_not_int"),
+        pytest.param("alpha=a", "alpha", id="alpha_not_float"),
     ])
     def test_bad_grid_is_data_error(self, synth_dir, tmp_path, capsys, line,
                                     key):
@@ -278,10 +342,20 @@ class TestSweep:
         code = run_cli("sweep", "--manifest", str(synth_dir / "manifest.txt"),
                        "--grid", str(grid), "--out", str(out))
         assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: code=DATA")
-        if key is not None:
-            assert f"{grid}: grid key {key!r}" in err
+        assert_data_error(capsys, f"msg={grid}: ", f"key {key!r}")
+        assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("command", ["cv", "sweep"])
+    def test_needs_truth(self, synth_dir, tmp_path, capsys, command):
+        grid = tmp_path / "grid.txt"
+        grid.write_text("K=3\n")
+        out = tmp_path / "out"
+        code = run_cli(command, "--features", str(synth_dir / "features.tsv"),
+                       "--candidates", str(synth_dir / "candidates.txt"),
+                       *(["--grid", str(grid)] if command == "sweep" else []),
+                       "--out", str(out))
+        assert code == EXIT_DATA
+        assert_data_error(capsys, f"{command} requires ground-truth labels")
         assert not out.exists()  # rejected before any work
 
 
@@ -365,6 +439,23 @@ class TestConfigHandling:
         assert code == EXIT_DATA
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("alpha=x", "alpha"), ("normalize=ture", "normalize")])
+    def test_bad_config_value_is_data_error(self, synth_dir, tmp_path, capsys,
+                                            line, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(line + "\n")
+        out = tmp_path / "fit"
+        code = run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--config", str(cfgfile), "--out", str(out))
+        assert code == EXIT_DATA
+        assert_data_error(capsys, f"msg={cfgfile}: bad value for key {key!r}")
+        assert not out.exists()
+
+    def test_switch_words(self):
+        assert [_truthy(w) for w in ("1", "TRUE", "Yes", " on ")] == [True] * 4
+        assert [_truthy(w) for w in ("0", "False", "NO", "off")] == [False] * 4
+
     @pytest.mark.parametrize("bad, name", [
         pytest.param(["--t-max", "0"], "t_max", id="flag"),
         pytest.param("sigma_cap=1e9", "sigma_cap", id="config"),
@@ -443,6 +534,15 @@ class TestConfigHandling:
             echoes.append((out / "effective_config.txt").read_text())
         assert echoes[0] == echoes[1]
         assert f"{key}=" in echoes[0]
+
+
+@pytest.mark.parametrize("name, table", [
+    ("manifest", MANIFEST_KEYS), ("`model_meta.txt`", MODEL_META_KEYS)])
+def test_readme_lists_the_key_tables(name, table):
+    listed = re.search(rf"- {re.escape(name)} keys: ([^.]*)\.",
+                       README.read_text())
+    assert listed is not None
+    assert re.findall(r"`(\w+)`", listed.group(1)) == list(table)
 
 
 def test_readme_cli_examples_parse():

@@ -66,7 +66,9 @@ class TestLoad:
 
     def test_row_count_mismatch(self, tmp_path):
         fp, cp, _ = write_files(tmp_path, [[0, 1], [2, 3]], ["1"])
-        with pytest.raises(DataFormatError, match="candidate lines"):
+        with pytest.raises(DataFormatError,
+                           match=r"candidates\.txt: 2 feature rows but 1 "
+                                 r"candidate lines"):
             load_dataset(fp, cp)
 
     def test_ragged_features(self, tmp_path):
