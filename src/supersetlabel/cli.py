@@ -214,10 +214,7 @@ def cmd_predict(args) -> int:
     model_dir = Path(args.model)
     meta = read_kv_file(model_dir / "model_meta.txt", MODEL_META_KEYS,
                         required=("K", "theta"))
-    try:
-        onehot = np.loadtxt(model_dir / "onehot.csv", delimiter=",", ndmin=2)
-    except ValueError as e:
-        raise DataFormatError(f"{model_dir / 'onehot.csv'}: {e}") from None
+    onehot = read_features(model_dir / "onehot.csv", ",", "onehot")
     train_features = read_features(model_dir / "model_features.tsv")
     predictor = Predictor(train_features, onehot, meta["K"], meta["theta"])
     X = read_features(args.features)
@@ -246,10 +243,11 @@ def cmd_cv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # a grid value is a comma list, each item read as its setting; a bad grid
-    # is rejected before --out exists
+    # a grid value is a comma list, each item read as its setting and checked
+    # by the SolverConfig rule; a bad grid is rejected before --out exists
     grid = read_kv_file(args.grid, {
-        k: lambda raw, read=_SETTINGS[k][0]: [read(v) for v in raw.split(",")]
+        k: lambda raw, k=k, read=_SETTINGS[k][0]: [
+            getattr(SolverConfig(**{k: read(v)}), k) for v in raw.split(",")]
         for k in _GRID_KEYS})
     ds, cfg, seed, out = _start(args, "sweep")
     rows = sweep(ds, *(grid.get(k, [getattr(cfg, k)]) for k in _GRID_KEYS),
@@ -337,7 +335,7 @@ def main(argv=None) -> int:
     except argparse.ArgumentTypeError as e:
         print(f"error: code=USAGE msg={e}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, FileNotFoundError, ValueError) as e:
+    except (DataFormatError, OSError, ValueError) as e:
         print(f"error: code=DATA msg={e}", file=sys.stderr)
         return EXIT_DATA
     except SolverDivergenceError as e:

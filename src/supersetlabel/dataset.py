@@ -94,8 +94,9 @@ def validate_dataset(ds: Dataset) -> None:
                 )
 
 
-def read_features(path) -> np.ndarray:
-    """Read a feature table: one row per non-blank line, tab-separated floats.
+def read_features(path, delimiter="\t", what="feature") -> np.ndarray:
+    """Read a feature table: one row per non-blank line, floats separated by
+    delimiter (a tab by default; onehot.csv is read with commas).
 
     A ragged row or a non-numeric token (a '#' comment, space-separated
     columns) is an error naming the file and its 1-based line.
@@ -103,20 +104,20 @@ def read_features(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     rows = [line for line in lines if line.strip()]
     if not rows:
-        raise DataFormatError(f"{path}: no feature rows")
+        raise DataFormatError(f"{path}: no {what} rows")
     try:
-        return np.loadtxt(rows, delimiter="\t", comments=None, ndmin=2)
+        return np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
         # find the line here: np.loadtxt's row numbers skip blank lines
-        width = len(rows[0].split("\t"))
+        width = len(rows[0].split(delimiter))
         for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            token = _unreadable_token(line)
+            token = _unreadable_token(line, delimiter)
             if token is not None:
-                raise DataFormatError(f"{path}: non-numeric feature token "
+                raise DataFormatError(f"{path}: non-numeric {what} token "
                                       f"{token!r} on line {line_no}")
-            tokens = line.split("\t")
+            tokens = line.split(delimiter)
             if len(tokens) != width:
                 raise DataFormatError(
                     f"{path}: inconsistent row lengths: {len(tokens)} values "
@@ -124,15 +125,16 @@ def read_features(path) -> np.ndarray:
         raise
 
 
-def _unreadable_token(line: str) -> str | None:
-    """The first token of a tab-separated line that np.loadtxt does not read
-    as a float (Python's float accepts more, such as '1_000'), or None."""
+def _unreadable_token(line: str, delimiter: str) -> str | None:
+    """The first token of a delimited line that np.loadtxt does not read as a
+    float (Python's float accepts more, such as '1_000'), or None."""
     try:  # one call for the whole line, then one per column
-        np.loadtxt([line], delimiter="\t", comments=None)
+        np.loadtxt([line], delimiter=delimiter, comments=None)
     except ValueError:
-        for k, token in enumerate(line.split("\t")):
+        for k, token in enumerate(line.split(delimiter)):
             try:
-                np.loadtxt([line], delimiter="\t", comments=None, usecols=k)
+                np.loadtxt([line], delimiter=delimiter, comments=None,
+                           usecols=k)
             except ValueError:
                 return token
     return None
@@ -256,8 +258,14 @@ def save_dataset(ds: Dataset, out_dir) -> dict[str, Path]:
     return paths
 
 
-MANIFEST_KEYS = {"n": int, "d": int, "c": int,
-                 "features": str, "candidates": str, "truth": str}
+def _file_name(raw: str) -> str:
+    if not raw:
+        raise ValueError("empty file name")
+    return raw
+
+
+MANIFEST_KEYS = {"n": int, "d": int, "c": int, "features": _file_name,
+                 "candidates": _file_name, "truth": _file_name}
 
 
 def load_manifest(manifest_path) -> Dataset:

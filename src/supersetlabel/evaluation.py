@@ -1,7 +1,8 @@
-"""Accuracy metrics, five-fold cross validation, parameter sweeps, and the
-Friedman rank test against the exact chi-square critical value.
+"""Accuracy metrics, five-fold cross validation over a parameter grid, and
+the Friedman rank test against the exact chi-square critical value.
 
-A fold's ValueError or SolverDivergenceError is re-raised as the same class,
+sweep is the one fold loop, and cross_validate is sweep at one grid point. A
+fold's ValueError or SolverDivergenceError is re-raised as the same class,
 with the fold number at the front of its message.
 """
 
@@ -32,8 +33,11 @@ def training_accuracy(report: SolverReport, truth) -> float:
 
 @dataclass
 class CvResult:
-    """Per-fold accuracies with their mean and population std."""
+    """One grid point: per-fold accuracies, their means and population stds."""
 
+    alpha: float
+    beta: float
+    K: int
     fold_train_acc: tuple[float, ...]
     fold_test_acc: tuple[float, ...]
     mean_train: float
@@ -43,50 +47,49 @@ class CvResult:
 
 
 def cross_validate(ds: Dataset, cfg: SolverConfig, seed: int) -> CvResult:
-    """Five-fold stratified cross validation of the full pipeline.
+    """Five-fold stratified cross validation of the full pipeline: sweep at
+    the single point (cfg.alpha, cfg.beta, cfg.K)."""
+    return sweep(ds, [cfg.alpha], [cfg.beta], [cfg.K], cfg, seed)[0]
+
+
+def sweep(ds: Dataset, alphas, betas, Ks, cfg: SolverConfig,
+          seed: int) -> list[CvResult]:
+    """Five-fold stratified cross validation at every point of the
+    alpha x beta x K grid, the other knobs from cfg: one CvResult per point,
+    in that order, and a repeated value gets its own row.
 
     Each fold trains the disambiguation on the remaining 80% and scores both
     the disambiguated training labels and the kNN predictions on the held-out
-    20% against ground truth.
+    20% against ground truth. Every point's config is checked before any fit;
+    each fold encodes its training subset once and builds one graph per K.
     """
-    return _cross_validate(ds, cfg, seed, graphs={})
-
-
-def _cross_validate(ds: Dataset, cfg: SolverConfig, seed: int,
-                    graphs: dict) -> CvResult:
-    """cross_validate, taking each fold's graph from graphs[fold, cfg.K] and
-    building and storing it there when it is missing. The key leaves out
-    ds, seed and theta, so graphs must only be shared between calls that
-    agree on those."""
+    points = [replace(cfg, alpha=float(alpha), beta=float(beta), K=int(K))
+              for alpha in alphas for beta in betas for K in Ks]
     if ds.truth is None:
         raise ValueError("cross validation requires ground-truth labels")
     plan = plan_splits(ds, seed)
-    truth = np.asarray(ds.truth)
-    train_accs, test_accs = [], []
+    accs = [([], []) for _ in points]  # per point: train and test, by fold
     for fold in range(1, N_FOLDS + 1):
-        tr, te = plan.train_indices(fold), plan.test_indices(fold)
-        ds_tr = ds.subset(tr)
+        te = plan.test_indices(fold)
+        X_te, y_te = ds.features[te], np.asarray(ds.truth)[te]
+        ds_tr = ds.subset(plan.train_indices(fold))
         try:
-            key = fold, cfg.K
-            if key not in graphs:
-                graphs[key] = build_knn_graph(ds_tr, cfg.K, cfg.theta)
-            graph = graphs[key]
-            report = alm_fit(graph, encode(ds_tr), cfg)
+            graphs = {K: build_knn_graph(ds_tr, K, cfg.theta)
+                      for K in dict.fromkeys(p.K for p in points)}
+            codec = encode(ds_tr)
+            for p, (train_accs, test_accs) in zip(points, accs):
+                report = alm_fit(graphs[p.K], codec, p)
+                train_accs.append(training_accuracy(report, ds_tr.truth))
+                pred, _ = predict_batch(Predictor(
+                    ds_tr.features, report.onehot, p.K, graphs[p.K].theta),
+                    X_te)
+                test_accs.append(float(np.mean(pred == y_te)))
         except (ValueError, SolverDivergenceError) as e:
             raise type(e)(f"fold {fold}: {e}") from e
-        train_accs.append(training_accuracy(report, ds_tr.truth))
-        predictor = Predictor(train_features=ds_tr.features,
-                              onehot=report.onehot, K=cfg.K, theta=graph.theta)
-        pred, _ = predict_batch(predictor, ds.features[te])
-        test_accs.append(float(np.mean(pred == truth[te])))
-    return CvResult(
-        fold_train_acc=tuple(train_accs),
-        fold_test_acc=tuple(test_accs),
-        mean_train=float(np.mean(train_accs)),
-        std_train=float(np.std(train_accs)),
-        mean_test=float(np.mean(test_accs)),
-        std_test=float(np.std(test_accs)),
-    )
+    return [CvResult(p.alpha, p.beta, p.K, tuple(train), tuple(test),
+                     float(np.mean(train)), float(np.std(train)),
+                     float(np.mean(test)), float(np.std(test)))
+            for p, (train, test) in zip(points, accs)]
 
 
 def chi2_critical(confidence: float, df: int) -> float:
@@ -145,38 +148,3 @@ def friedman_test(accuracy_table, confidence: float = 0.90) -> FriedmanResult:
         mean_ranks=mean_ranks,
         reject_per_method=per_method,
     )
-
-
-@dataclass
-class SweepRow:
-    alpha: float
-    beta: float
-    K: int
-    mean_train: float
-    std_train: float
-    mean_test: float
-    std_test: float
-
-
-def sweep(ds: Dataset, alphas, betas, Ks, cfg: SolverConfig,
-          seed: int) -> list[SweepRow]:
-    """Cross-validate over the full alpha x beta x K grid.
-
-    The graph depends on the fold and K only, so each is built once and
-    shared by every (alpha, beta).
-    """
-    graphs: dict = {}
-    rows = []
-    for alpha in alphas:
-        for beta in betas:
-            for K in Ks:
-                cv = _cross_validate(
-                    ds, replace(cfg, alpha=float(alpha), beta=float(beta),
-                                K=int(K)), seed, graphs,
-                )
-                rows.append(SweepRow(
-                    alpha=float(alpha), beta=float(beta), K=int(K),
-                    mean_train=cv.mean_train, std_train=cv.std_train,
-                    mean_test=cv.mean_test, std_test=cv.std_test,
-                ))
-    return rows

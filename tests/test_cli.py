@@ -91,7 +91,8 @@ class TestFit:
     @pytest.mark.parametrize("line, message", [
         ("c=x", "bad value for key 'c'"),
         ("labels=labels.txt", "unknown key 'labels'"),
-    ], ids=["c_not_int", "unknown_key"])
+        ("truth=", "bad value for key 'truth': empty file name"),
+    ], ids=["c_not_int", "unknown_key", "empty_truth"])
     def test_bad_manifest_is_data_error(self, synth_dir, tmp_path, capsys,
                                         line, message):
         manifest = tmp_path / "manifest.txt"
@@ -104,6 +105,13 @@ class TestFit:
                        "--out", str(out), *FAST) == EXIT_DATA
         assert_data_error(capsys, f"msg={manifest}: {message}")
         assert not out.exists()
+
+    def test_out_is_a_file_is_data_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "fit"
+        out.write_text("not a directory\n")
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--out", str(out), *FAST) == EXIT_DATA
+        assert_data_error(capsys, "File exists", str(out))
 
     def test_trace_csv(self, synth_dir, tmp_path):
         out = tmp_path / "fit"
@@ -212,9 +220,11 @@ class TestPredict:
         ("model_features.tsv", lambda t: "".join(t.splitlines(True)[:25]),
          "40 onehot rows but 25 train_features rows"),
         ("onehot.csv", lambda t: "x" + t[1:],
-         "{model}/onehot.csv: could not convert string 'x'"),
+         "{model}/onehot.csv: non-numeric onehot token 'x' on line 1"),
+        ("onehot.csv", lambda t: re.sub(r"(?m)\A(.*\n.*\n).*", r"\1x,0", t),
+         "{model}/onehot.csv: non-numeric onehot token 'x' on line 3"),
     ], ids=["no_K", "no_theta", "short_onehot", "short_features",
-            "onehot_token"])
+            "onehot_token", "onehot_token_line_3"])
     def test_bad_model_is_data_error(self, fitted_model, synth_dir, tmp_path,
                                      capsys, name, edit, message):
         model = tmp_path / "model"
@@ -332,6 +342,8 @@ class TestSweep:
         pytest.param("theta=1", "theta", id="theta"),
         pytest.param("K=3.5", "K", id="K_not_int"),
         pytest.param("alpha=a", "alpha", id="alpha_not_float"),
+        pytest.param("alpha=-1", "alpha", id="alpha_negative"),
+        pytest.param("K=0", "K", id="K_zero"),
     ])
     def test_bad_grid_is_data_error(self, synth_dir, tmp_path, capsys, line,
                                     key):

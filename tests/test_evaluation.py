@@ -242,16 +242,22 @@ class TestSweep:
         assert rows[0].mean_test == cv.mean_test
 
     def test_graph_built_once_per_fold_and_K(self, monkeypatch):
-        built = []
-        build = evaluation.build_knn_graph
+        built, encoded = [], []
+        build, encode = evaluation.build_knn_graph, evaluation.encode
 
         def counted(ds, K, theta):
             built.append(K)
             return build(ds, K, theta)
 
+        def counted_encode(ds):
+            encoded.append(ds.n)
+            return encode(ds)
+
         monkeypatch.setattr(evaluation, "build_knn_graph", counted)
+        monkeypatch.setattr(evaluation, "encode", counted_encode)
         rows = sweep(CV_DS, [10.0, 100.0], [0.0, 0.01], [3, 4], CV_CFG, seed=5)
         assert sorted(built) == [3] * N_FOLDS + [4] * N_FOLDS
+        assert len(encoded) == N_FOLDS
         for row in rows:
             cv = cross_validate(CV_DS, replace(CV_CFG, alpha=row.alpha,
                                                beta=row.beta, K=row.K), seed=5)
@@ -263,6 +269,24 @@ class TestSweep:
         rows = sweep(CV_DS, [1000.0], [0.0, 0.01, 0.1], [3], CV_CFG, seed=5)
         assert len(rows) == 3
         assert [r.beta for r in rows] == [0.0, 0.01, 0.1]
+
+    def test_bad_grid_value_fails_before_any_fit(self, monkeypatch):
+        fits = []
+        fit = evaluation.alm_fit
+        monkeypatch.setattr(evaluation, "alm_fit",
+                            lambda *args: fits.append(1) or fit(*args))
+        with pytest.raises(ValueError, match="nonnegative"):
+            sweep(CV_DS, [10.0, -1.0], [0.01], [3], CV_CFG, seed=5)
+        assert fits == []
+
+    def test_repeated_value_gets_its_own_row(self):
+        rows = sweep(CV_DS, [10.0, 100.0], [0.01, 0.0, 0.01], [3], CV_CFG,
+                     seed=5)
+        assert [(r.alpha, r.beta, r.K) for r in rows] == [
+            (alpha, beta, 3) for alpha in (10.0, 100.0)
+            for beta in (0.01, 0.0, 0.01)]
+        for first, repeat in ((rows[0], rows[2]), (rows[3], rows[5])):
+            assert first == repeat
 
     def test_beta_ablation_on_ambiguous_data(self):
         # the discrimination term never hurts the disambiguation here; at
