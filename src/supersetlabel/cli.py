@@ -144,9 +144,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _start(args, command: str) -> tuple[Dataset, SolverConfig, int, Path]:
+def _start(args, command: str) -> tuple[Dataset, SolverConfig, dict, Path]:
     """Check every input of a fit, cv or sweep run, then create --out and echo
-    the merged settings to effective_config.txt in it."""
+    the merged settings, which it also returns, to effective_config.txt."""
     merged = resolve_config(args)
     if merged["manifest"]:
         ds = load_manifest(merged["manifest"])
@@ -157,7 +157,8 @@ def _start(args, command: str) -> tuple[Dataset, SolverConfig, int, Path]:
         raise DataFormatError(
             "need --manifest or both --features and --candidates")
     if merged["normalize"]:
-        ds = normalize_unit_length(ds)
+        ds = dataclasses.replace(
+            ds, features=normalize_unit_length(ds.features))
     if command != "fit" and ds.truth is None:
         raise DataFormatError(f"{command} requires ground-truth labels (--truth)")
     try:
@@ -168,9 +169,8 @@ def _start(args, command: str) -> tuple[Dataset, SolverConfig, int, Path]:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_kv_file(out / "effective_config.txt", [("command", command)] + [
-        (k, str(v).lower() if isinstance(v, bool) else v)
-        for k, v in sorted(merged.items()) if v is not None])
-    return ds, cfg, merged["seed"], out
+        (k, v) for k, v in sorted(merged.items()) if v is not None])
+    return ds, cfg, merged, out
 
 
 def _fmt(x: float) -> str:
@@ -187,7 +187,7 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def cmd_fit(args) -> int:
-    ds, cfg, _, out = _start(args, "fit")
+    ds, cfg, run, out = _start(args, "fit")
     graph = build_knn_graph(ds, cfg.K, cfg.theta)
     report = alm_fit(graph, encode(ds), cfg)
 
@@ -198,7 +198,7 @@ def cmd_fit(args) -> int:
     _write_csv(out / "trace.csv", TRACE_HEADER, report.trace_rows())
     write_kv_file(out / "model_meta.txt", [
         ("n", ds.n), ("d", ds.d), ("c", ds.c), ("K", cfg.K),
-        ("theta", f"{graph.theta:.17g}")])
+        ("theta", f"{graph.theta:.17g}"), ("normalize", run["normalize"])])
     write_features(out / "model_features.tsv", ds.features)
     print(f"fit: {ds.n} examples, converged={report.converged} "
           f"in {report.loops_used} loops, "
@@ -207,7 +207,8 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-MODEL_META_KEYS = {"n": int, "d": int, "c": int, "K": int, "theta": float}
+MODEL_META_KEYS = {"n": int, "d": int, "c": int, "K": int, "theta": float,
+                   "normalize": _truthy}
 
 
 def cmd_predict(args) -> int:
@@ -223,6 +224,8 @@ def cmd_predict(args) -> int:
             f"test features have {X.shape[1]} dims, model expects "
             f"{train_features.shape[1]}"
         )
+    if meta.get("normalize"):  # test rows live where the model's rows do
+        X = normalize_unit_length(X)
     labels, scores = predict_batch(predictor, X)
     _write_csv(args.out, "index,predicted_label," + ",".join(
         f"score_{j}" for j in range(1, scores.shape[1] + 1)),
@@ -232,8 +235,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    ds, cfg, seed, out = _start(args, "cv")
-    result = cross_validate(ds, cfg, seed)
+    ds, cfg, run, out = _start(args, "cv")
+    result = cross_validate(ds, cfg, run["seed"])
     _write_csv(out / "results.csv", "fold,train_acc,test_acc",
                ((fold, *accs) for fold, accs in enumerate(
                    zip(result.fold_train_acc, result.fold_test_acc), start=1)))
@@ -249,9 +252,9 @@ def cmd_sweep(args) -> int:
         k: lambda raw, k=k, read=_SETTINGS[k][0]: [
             getattr(SolverConfig(**{k: read(v)}), k) for v in raw.split(",")]
         for k in _GRID_KEYS})
-    ds, cfg, seed, out = _start(args, "sweep")
+    ds, cfg, run, out = _start(args, "sweep")
     rows = sweep(ds, *(grid.get(k, [getattr(cfg, k)]) for k in _GRID_KEYS),
-                 cfg, seed)
+                 cfg, run["seed"])
     _write_csv(out / "sweep.csv",
                "alpha,beta,K,mean_train,std_train,mean_test,std_test",
                ((r.alpha, r.beta, r.K, r.mean_train, r.std_train, r.mean_test,

@@ -36,13 +36,36 @@ class Dataset:
     truth: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        """Normalize the containers, then check every invariant; raise
+        DataFormatError on a violation."""
         self.features = np.asarray(self.features, dtype=float)
         if self.features.ndim != 2:
             raise DataFormatError("features must be a 2-D array")
         self.candidates = tuple(tuple(sorted(set(s))) for s in self.candidates)
-        if self.truth is not None:
-            self.truth = tuple(int(y) for y in self.truth)
-        validate_dataset(self)
+        if self.c < 1:
+            raise DataFormatError("class count c must be positive")
+        if len(self.candidates) != self.n:
+            raise DataFormatError(
+                f"{self.n} feature rows but {len(self.candidates)} candidate sets")
+        if not np.all(np.isfinite(self.features)):
+            bad = int(np.argwhere(~np.isfinite(self.features).all(axis=1))[0][0])
+            raise DataFormatError(f"non-finite feature value in row {bad + 1}")
+        for i, s in enumerate(self.candidates):
+            if len(s) == 0:
+                raise DataFormatError(f"empty candidate set at row {i + 1}")
+            if s[0] < 1 or s[-1] > self.c:
+                raise DataFormatError(f"candidate label out of range "
+                                      f"1..{self.c} at row {i + 1}: {s}")
+        if self.truth is None:
+            return
+        self.truth = tuple(int(y) for y in self.truth)
+        if len(self.truth) != self.n:
+            raise DataFormatError(
+                f"{self.n} feature rows but {len(self.truth)} truth labels")
+        for i, (y, s) in enumerate(zip(self.truth, self.candidates)):
+            if y not in s:
+                raise DataFormatError(
+                    f"truth label {y} not among candidates {s} at row {i + 1}")
 
     @property
     def n(self) -> int:
@@ -62,36 +85,6 @@ class Dataset:
             c=self.c,
             truth=truth,
         )
-
-
-def validate_dataset(ds: Dataset) -> None:
-    """Check every Dataset invariant; raise DataFormatError on violation."""
-    if ds.c < 1:
-        raise DataFormatError("class count c must be positive")
-    if len(ds.candidates) != ds.n:
-        raise DataFormatError(
-            f"{ds.n} feature rows but {len(ds.candidates)} candidate sets"
-        )
-    if not np.all(np.isfinite(ds.features)):
-        bad = int(np.argwhere(~np.isfinite(ds.features).all(axis=1))[0][0])
-        raise DataFormatError(f"non-finite feature value in row {bad + 1}")
-    for i, s in enumerate(ds.candidates):
-        if len(s) == 0:
-            raise DataFormatError(f"empty candidate set at row {i + 1}")
-        if s[0] < 1 or s[-1] > ds.c:
-            raise DataFormatError(
-                f"candidate label out of range 1..{ds.c} at row {i + 1}: {s}"
-            )
-    if ds.truth is not None:
-        if len(ds.truth) != ds.n:
-            raise DataFormatError(
-                f"{ds.n} feature rows but {len(ds.truth)} truth labels"
-            )
-        for i, (y, s) in enumerate(zip(ds.truth, ds.candidates)):
-            if y not in s:
-                raise DataFormatError(
-                    f"truth label {y} not among candidates {s} at row {i + 1}"
-                )
 
 
 def read_features(path, delimiter="\t", what="feature") -> np.ndarray:
@@ -147,9 +140,9 @@ def write_features(path, X) -> None:
 
 def read_kv_file(path, readers, required=()) -> dict:
     """Read key=value lines ('#' comments and blank lines skipped), each value
-    by its key's reader. A line without '=', a key not in readers, a value its
-    reader rejects (ValueError) and a missing required key are each a
-    DataFormatError naming the file and the key."""
+    by its key's reader. A line without '=', a key not in readers, a repeated
+    key, a value its reader rejects (ValueError) and a missing required key
+    are each a DataFormatError naming the file and the key."""
     kv = {}
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -158,6 +151,8 @@ def read_kv_file(path, readers, required=()) -> dict:
         if "=" not in line:
             raise DataFormatError(f"{path}: expected key=value, got {line!r}")
         k, v = (part.strip() for part in line.split("=", 1))
+        if k in kv:
+            raise DataFormatError(f"{path}: repeated key {k!r}")
         if k not in readers:
             raise DataFormatError(f"{path}: unknown key {k!r}, expected one "
                                   f"of {', '.join(readers)}")
@@ -187,9 +182,11 @@ def read_lines(path, what: str, parse) -> list:
 
 
 def write_kv_file(path, items) -> None:
-    """Write (key, value) pairs as key=value lines, each value by str."""
+    """Write (key, value) pairs as key=value lines, each value by str and a
+    bool as true or false."""
     with open(path, "w") as f:
-        f.writelines(f"{k}={v}\n" for k, v in items)
+        f.writelines(f"{k}={str(v).lower() if isinstance(v, bool) else v}\n"
+                     for k, v in items)
 
 
 def load_dataset(features_path, candidates_path, truth_path=None,
@@ -284,18 +281,13 @@ def load_manifest(manifest_path) -> Dataset:
     return ds
 
 
-def normalize_unit_length(ds: Dataset) -> Dataset:
-    """Scale every feature row to Euclidean norm 1."""
-    norms = np.linalg.norm(ds.features, axis=1)
+def normalize_unit_length(X: np.ndarray) -> np.ndarray:
+    """X with every row scaled to Euclidean norm 1."""
+    norms = np.linalg.norm(X, axis=1)
     zero = np.where(norms == 0.0)[0]
     if zero.size:
         raise DataFormatError(f"zero-norm feature row {int(zero[0]) + 1}")
-    return Dataset(
-        features=ds.features / norms[:, None],
-        candidates=ds.candidates,
-        c=ds.c,
-        truth=ds.truth,
-    )
+    return X / norms[:, None]
 
 
 def make_synthetic(n: int, c: int, d: int, sep: float, p_coocc: float,

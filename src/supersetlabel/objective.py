@@ -38,10 +38,9 @@ class ObjectiveParams:
     beta: float
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError(
-                f"alpha and beta must be nonnegative, got {self.alpha}, {self.beta}"
-            )
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 @dataclass

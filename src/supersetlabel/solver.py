@@ -34,6 +34,7 @@ from .objective import (
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
 _STEP_UNDERFLOW = 1e-16
+_SIGMA_FLOOR_MARGIN = 1.01
 
 
 class SolverDivergenceError(RuntimeError):
@@ -45,6 +46,8 @@ class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
     A gd_grad_tol left as None is resolved at run time to 1e-6 * sqrt(n*c).
+    alm_fit raises sigma0 to the floor 1.01 * 2 beta max_i |S_i| and rejects
+    a sigma_cap below it (see alm_fit).
     The line search of the inner descent has fixed constants, not knobs
     (see gd_minimize).
     """
@@ -228,7 +231,11 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
             cccp_histories: list[list[float]] | None = None) -> SolverReport:
     """Run the full outer loop and disambiguate the result.
 
-    Starts from the feasible, unbiased F = Y with zero multipliers. Stops
+    Starts from the feasible, unbiased F = Y with zero multipliers and sigma
+    at max(sigma0, 1.01 * 2 beta max_i |S_i|). Below 2 beta |S_i| the reward
+    -beta ||F||^2 outgrows the clamp penalty as mass moves between the
+    candidates of row i, and the Lagrangian has no lower bound; at the floor
+    it is bounded below whenever alpha >= 101 beta c. Stops
     when the Frobenius change between outer iterates drops to eps1 or after
     loop_max loops. cccp_histories, when given, collects the per-loop inner
     Lagrangian sequences (used to audit descent).
@@ -239,12 +246,17 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
         raise ValueError(
             f"graph has {graph.n} nodes but codec encodes {codec.n} examples"
         )
+    max_set = int((codec.Y > 0).sum(axis=1).max())
+    floor = _SIGMA_FLOOR_MARGIN * 2.0 * cfg.beta * max_set
+    if floor > cfg.sigma_cap:
+        raise ValueError(f"sigma floor {floor:g} from beta={cfg.beta} and max "
+                         f"|S_i|={max_set} exceeds sigma_cap={cfg.sigma_cap:g}")
     p = cfg.params()
     state = AlmState(
         F=codec.Y.copy(),
         lambda1=np.zeros_like(codec.Y),
         lambda2=np.zeros(codec.n),
-        sigma=cfg.sigma0,
+        sigma=max(cfg.sigma0, floor),
     )
     trace: list[TraceRow] = []
     converged = False

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 import supersetlabel
-from supersetlabel import (Predictor, alm_fit, build_knn_graph, encode,
-                           load_manifest, predict_batch)
-from supersetlabel.cli import (EXIT_DATA, EXIT_OK, EXIT_USAGE,
+from supersetlabel import (Predictor, SolverDivergenceError, alm_fit,
+                           build_knn_graph, encode, load_manifest,
+                           predict_batch)
+from supersetlabel import cli
+from supersetlabel.cli import (EXIT_DATA, EXIT_OK, EXIT_SOLVER, EXIT_USAGE,
                                MODEL_META_KEYS, _truthy, build_parser, main,
                                read_kv_file)
-from supersetlabel.dataset import MANIFEST_KEYS
+from supersetlabel.dataset import (MANIFEST_KEYS, normalize_unit_length,
+                                   write_features)
 from supersetlabel.solver import SolverConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -92,14 +95,15 @@ class TestFit:
         ("c=x", "bad value for key 'c'"),
         ("labels=labels.txt", "unknown key 'labels'"),
         ("truth=", "bad value for key 'truth': empty file name"),
-    ], ids=["c_not_int", "unknown_key", "empty_truth"])
+        ("features=features.tsv", "repeated key 'features'"),
+    ], ids=["c_not_int", "unknown_key", "empty_truth", "repeated_features"])
     def test_bad_manifest_is_data_error(self, synth_dir, tmp_path, capsys,
                                         line, message):
         manifest = tmp_path / "manifest.txt"
         manifest.write_text("".join(
             f"{role}={synth_dir / name}\n" for role, name in [
-                ("features", "features.tsv"), ("candidates", "candidates.txt"),
-                ("truth", "truth.txt")]) + line + "\n")
+                ("features", "features.tsv"),
+                ("candidates", "candidates.txt")]) + line + "\n")
         out = tmp_path / "fit"
         assert run_cli("fit", "--manifest", str(manifest),
                        "--out", str(out), *FAST) == EXIT_DATA
@@ -112,6 +116,32 @@ class TestFit:
         assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
                        "--out", str(out), *FAST) == EXIT_DATA
         assert_data_error(capsys, "File exists", str(out))
+
+    def test_no_input_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--out", str(out)) == EXIT_DATA
+        assert_data_error(capsys, "need --manifest or both --features and "
+                                  "--candidates")
+        assert not out.exists()
+
+    def test_empty_features_is_data_error(self, synth_dir, tmp_path, capsys):
+        features = tmp_path / "features.tsv"
+        features.write_text("\n\n")
+        assert run_cli("fit", "--features", str(features), "--candidates",
+                       str(synth_dir / "candidates.txt"),
+                       "--out", str(tmp_path / "fit")) == EXIT_DATA
+        assert_data_error(capsys, f"msg={features}: no feature rows")
+
+    def test_solver_divergence_is_solver_error(self, synth_dir, tmp_path,
+                                               capsys, monkeypatch):
+        def diverge(graph, codec, cfg):
+            raise SolverDivergenceError("non-finite iterate at loop 3")
+
+        monkeypatch.setattr(cli, "alm_fit", diverge)
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--out", str(tmp_path / "fit"), *FAST) == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "error: code=SOLVER msg=non-finite iterate at loop 3\n")
 
     def test_trace_csv(self, synth_dir, tmp_path):
         out = tmp_path / "fit"
@@ -237,6 +267,51 @@ class TestPredict:
         assert_data_error(capsys, message.format(model=model))
         assert not pred_path.exists()
 
+    def test_normalized_model_scales_the_test_rows(self, synth_dir,
+                                                   tmp_path):
+        # a --normalize model votes in the unit-length space its graph was
+        # built in, so rescaling a test row changes neither label nor score
+        model = tmp_path / "model"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--normalize", "--out", str(model), *FAST) == EXIT_OK
+        meta = read_kv_file(model / "model_meta.txt", MODEL_META_KEYS)
+        assert meta["normalize"] is True
+        X = np.loadtxt(synth_dir / "features.tsv", ndmin=2)
+        preds = []
+        for scale in (1.0, 7.0):
+            write_features(tmp_path / "test.tsv", scale * X)
+            assert run_cli("predict", "--model", str(model),
+                           "--features", str(tmp_path / "test.tsv"),
+                           "--out", str(tmp_path / "pred.csv")) == EXIT_OK
+            preds.append(np.loadtxt(tmp_path / "pred.csv", delimiter=",",
+                                    skiprows=1))
+        np.testing.assert_array_equal(preds[1][:, 1], preds[0][:, 1])
+        # scores are written to 12 significant digits
+        np.testing.assert_allclose(preds[1][:, 2:], preds[0][:, 2:],
+                                   rtol=1e-11, atol=1e-12)
+        predictor = Predictor(np.loadtxt(model / "model_features.tsv", ndmin=2),
+                              np.loadtxt(model / "onehot.csv", delimiter=",",
+                                         ndmin=2), meta["K"], meta["theta"])
+        want, _ = predict_batch(predictor, normalize_unit_length(X))
+        np.testing.assert_array_equal(preds[0][:, 1], want)
+
+    def test_model_without_normalize_key_is_unscaled(self, fitted_model,
+                                                     synth_dir, tmp_path):
+        # a model directory written before fit recorded the key predicts as
+        # it did then
+        model = tmp_path / "model"
+        shutil.copytree(fitted_model, model)
+        meta = model / "model_meta.txt"
+        assert "normalize=false\n" in meta.read_text()
+        meta.write_text(meta.read_text().replace("normalize=false\n", ""))
+        preds = []
+        for name, m in (("with", fitted_model), ("without", model)):
+            assert run_cli("predict", "--model", str(m),
+                           "--features", str(synth_dir / "features.tsv"),
+                           "--out", str(tmp_path / name)) == EXIT_OK
+            preds.append((tmp_path / name).read_bytes())
+        assert preds[0] == preds[1]
+
     @pytest.mark.parametrize("text", ["# x\ty\n1\t2\n", "1 2\n3 4\n"],
                              ids=["comment", "spaces"])
     def test_features_read_by_the_fit_rule(self, synth_dir, tmp_path, capsys,
@@ -344,6 +419,7 @@ class TestSweep:
         pytest.param("alpha=a", "alpha", id="alpha_not_float"),
         pytest.param("alpha=-1", "alpha", id="alpha_negative"),
         pytest.param("K=0", "K", id="K_zero"),
+        pytest.param("K=3\nK=4,5", "K", id="repeated_K"),
     ])
     def test_bad_grid_is_data_error(self, synth_dir, tmp_path, capsys, line,
                                     key):
@@ -356,6 +432,21 @@ class TestSweep:
         assert code == EXIT_DATA
         assert_data_error(capsys, f"msg={grid}: ", f"key {key!r}")
         assert not out.exists()  # rejected before any work
+
+    @pytest.mark.parametrize("flags, line, message", [
+        (["--beta", "0.2"], "alpha=-1",
+         "key 'alpha': alpha must be nonnegative, got -1.0"),
+        (["--alpha", "5"], "beta=-2",
+         "key 'beta': beta must be nonnegative, got -2.0"),
+    ], ids=["alpha", "beta"])
+    def test_grid_error_names_only_the_bad_value(self, synth_dir, tmp_path,
+                                                 capsys, flags, line, message):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(line + "\n")
+        assert run_cli("sweep", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--grid", str(grid), *flags,
+                       "--out", str(tmp_path / "sweep")) == EXIT_DATA
+        assert capsys.readouterr().err.endswith(message + "\n")
 
     @pytest.mark.parametrize("command", ["cv", "sweep"])
     def test_needs_truth(self, synth_dir, tmp_path, capsys, command):
@@ -401,6 +492,17 @@ class TestFriedman:
         err = capsys.readouterr().err
         assert err.startswith("error: code=USAGE") and "confidence" in err
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("text, message", [
+        ("method,d1\nm1,0.9\nm2,x\n", "non-numeric accuracy on line 3"),
+        ("method,d1,d2\n", "no accuracy rows"),
+        ("0.9,0.8\n0.5\n", "ragged accuracy rows"),
+    ], ids=["non_numeric", "header_only", "ragged"])
+    def test_bad_table_is_data_error(self, tmp_path, capsys, text, message):
+        table = tmp_path / "table.csv"
+        table.write_text(text)
+        assert run_cli("friedman", "--table", str(table)) == EXIT_DATA
+        assert_data_error(capsys, f"msg={table}: {message}")
 
     def test_unnamed_rows(self, tmp_path, capsys):
         table = tmp_path / "table.csv"
@@ -462,6 +564,16 @@ class TestConfigHandling:
                        "--config", str(cfgfile), "--out", str(out))
         assert code == EXIT_DATA
         assert_data_error(capsys, f"msg={cfgfile}: bad value for key {key!r}")
+        assert not out.exists()
+
+    def test_repeated_config_key_is_data_error(self, synth_dir, tmp_path,
+                                               capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("K=3\nK=4\n")
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--config", str(cfgfile), "--out", str(out)) == EXIT_DATA
+        assert_data_error(capsys, f"msg={cfgfile}: repeated key 'K'")
         assert not out.exists()
 
     def test_switch_words(self):

@@ -174,28 +174,22 @@ class TestInvariants:
 
 class TestNormalize:
     def test_three_four_five(self):
-        ds = Dataset(features=np.array([[3.0, 4.0]]), candidates=((1,),), c=1)
-        out = normalize_unit_length(ds)
-        np.testing.assert_allclose(out.features, [[0.6, 0.8]], atol=1e-15)
+        out = normalize_unit_length(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_idempotent(self, rng):
-        ds = Dataset(features=rng.normal(size=(6, 3)),
-                     candidates=((1,),) * 6, c=1)
-        once = normalize_unit_length(ds)
+        once = normalize_unit_length(rng.normal(size=(6, 3)))
         twice = normalize_unit_length(once)
-        np.testing.assert_allclose(twice.features, once.features, atol=1e-12)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_all_rows_unit_norm(self, rng):
-        ds = Dataset(features=rng.normal(size=(5, 3)),
-                     candidates=((1,),) * 5, c=1)
-        norms = np.linalg.norm(normalize_unit_length(ds).features, axis=1)
+        norms = np.linalg.norm(normalize_unit_length(rng.normal(size=(5, 3))),
+                               axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_zero_row_identified(self):
-        ds = Dataset(features=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                     candidates=((1,), (1,)), c=1)
         with pytest.raises(DataFormatError, match="row 2"):
-            normalize_unit_length(ds)
+            normalize_unit_length(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestSynthetic:
