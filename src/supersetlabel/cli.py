@@ -144,9 +144,9 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _start(args, command: str) -> tuple[Dataset, SolverConfig, dict, Path]:
-    """Check every input of a fit, cv or sweep run, then create --out and echo
-    the merged settings, which it also returns, to effective_config.txt."""
+def _start(args, command: str) -> tuple[Dataset, SolverConfig, dict]:
+    """Check every input of a fit, cv or sweep run and return its data, its
+    solver config and the merged settings."""
     merged = resolve_config(args)
     if merged["manifest"]:
         ds = load_manifest(merged["manifest"])
@@ -157,8 +157,8 @@ def _start(args, command: str) -> tuple[Dataset, SolverConfig, dict, Path]:
         raise DataFormatError(
             "need --manifest or both --features and --candidates")
     if merged["normalize"]:
-        ds = dataclasses.replace(
-            ds, features=normalize_unit_length(ds.features))
+        ds = dataclasses.replace(ds, features=normalize_unit_length(
+            ds.features, merged["manifest"] or merged["features"]))
     if command != "fit" and ds.truth is None:
         raise DataFormatError(f"{command} requires ground-truth labels (--truth)")
     try:
@@ -166,11 +166,16 @@ def _start(args, command: str) -> tuple[Dataset, SolverConfig, dict, Path]:
                               for f in dataclasses.fields(SolverConfig)})
     except ValueError as e:  # a knob out of range is a usage error
         raise argparse.ArgumentTypeError(e) from None
+    return ds, cfg, merged
+
+
+def _open_out(args, command: str, run: dict) -> Path:
+    """Make --out once the run has succeeded, and echo its settings there."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_kv_file(out / "effective_config.txt", [("command", command)] + [
-        (k, v) for k, v in sorted(merged.items()) if v is not None])
-    return ds, cfg, merged, out
+        (k, v) for k, v in sorted(run.items()) if v is not None])
+    return out
 
 
 def _fmt(x: float) -> str:
@@ -187,10 +192,10 @@ def _write_csv(path, header: str, rows) -> None:
 
 
 def cmd_fit(args) -> int:
-    ds, cfg, run, out = _start(args, "fit")
+    ds, cfg, run = _start(args, "fit")
     graph = build_knn_graph(ds, cfg.K, cfg.theta)
     report = alm_fit(graph, encode(ds), cfg)
-
+    out = _open_out(args, "fit", run)
     _write_csv(out / "labels.csv", "index,label",
                enumerate(report.labels, start=1))
     np.savetxt(out / "onehot.csv", report.onehot, fmt="%d", delimiter=",")
@@ -225,7 +230,7 @@ def cmd_predict(args) -> int:
             f"{train_features.shape[1]}"
         )
     if meta.get("normalize"):  # test rows live where the model's rows do
-        X = normalize_unit_length(X)
+        X = normalize_unit_length(X, args.features)
     labels, scores = predict_batch(predictor, X)
     _write_csv(args.out, "index,predicted_label," + ",".join(
         f"score_{j}" for j in range(1, scores.shape[1] + 1)),
@@ -235,8 +240,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    ds, cfg, run, out = _start(args, "cv")
+    ds, cfg, run = _start(args, "cv")
     result = cross_validate(ds, cfg, run["seed"])
+    out = _open_out(args, "cv", run)
     _write_csv(out / "results.csv", "fold,train_acc,test_acc",
                ((fold, *accs) for fold, accs in enumerate(
                    zip(result.fold_train_acc, result.fold_test_acc), start=1)))
@@ -246,15 +252,15 @@ def cmd_cv(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # a grid value is a comma list, each item read as its setting and checked
-    # by the SolverConfig rule; a bad grid is rejected before --out exists
+    # each item of a grid's comma list is read and checked as its setting
     grid = read_kv_file(args.grid, {
         k: lambda raw, k=k, read=_SETTINGS[k][0]: [
             getattr(SolverConfig(**{k: read(v)}), k) for v in raw.split(",")]
         for k in _GRID_KEYS})
-    ds, cfg, run, out = _start(args, "sweep")
+    ds, cfg, run = _start(args, "sweep")
     rows = sweep(ds, *(grid.get(k, [getattr(cfg, k)]) for k in _GRID_KEYS),
                  cfg, run["seed"])
+    out = _open_out(args, "sweep", run)
     _write_csv(out / "sweep.csv",
                "alpha,beta,K,mean_train,std_train,mean_test,std_test",
                ((r.alpha, r.beta, r.K, r.mean_train, r.std_train, r.mean_test,

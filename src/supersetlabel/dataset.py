@@ -281,12 +281,12 @@ def load_manifest(manifest_path) -> Dataset:
     return ds
 
 
-def normalize_unit_length(X: np.ndarray) -> np.ndarray:
-    """X with every row scaled to Euclidean norm 1."""
+def normalize_unit_length(X: np.ndarray, source) -> np.ndarray:
+    """X with every row scaled to Euclidean norm 1; source names its file."""
     norms = np.linalg.norm(X, axis=1)
     zero = np.where(norms == 0.0)[0]
     if zero.size:
-        raise DataFormatError(f"zero-norm feature row {int(zero[0]) + 1}")
+        raise DataFormatError(f"{source}: zero-norm feature row {zero[0] + 1}")
     return X / norms[:, None]
 
 
@@ -310,15 +310,8 @@ def make_synthetic(n: int, c: int, d: int, sep: float, p_coocc: float,
 
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d))
-    diffs = means[:, None, :] - means[None, :, :]
-    dist = np.linalg.norm(diffs, axis=2)
-    min_dist = dist[~np.eye(c, dtype=bool)].min()
-    if min_dist > 0:
-        means *= sep / min_dist
-    else:
-        # degenerate draw: fall back to collinear means sep apart
-        means = np.zeros((c, d))
-        means[:, 0] = sep * np.arange(c)
+    dist = np.linalg.norm(means[:, None, :] - means[None, :, :], axis=2)
+    means *= sep / dist[~np.eye(c, dtype=bool)].min()
 
     truth = rng.permutation(np.arange(n) % c) + 1
     features = means[truth - 1] + rng.standard_normal((n, d))

@@ -46,8 +46,7 @@ class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
     A gd_grad_tol left as None is resolved at run time to 1e-6 * sqrt(n*c).
-    alm_fit raises sigma0 to the floor 1.01 * 2 beta max_i |S_i| and rejects
-    a sigma_cap below it (see alm_fit).
+    alm_fit raises sigma0 to the floor 1.01 * 2 beta max_i |S_i|.
     The line search of the inner descent has fixed constants, not knobs
     (see gd_minimize).
     """
@@ -58,7 +57,6 @@ class SolverConfig:
     theta: float | str = "auto"
     rho: float = 1.1
     sigma0: float = 1.0
-    sigma_cap: float = SIGMA_CAP
     t_max: int = 20
     eps0: float = 1e-6
     loop_max: int = 40
@@ -74,11 +72,9 @@ class SolverConfig:
             check_theta(self.theta)
         if self.rho <= 1:
             raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not 0 < self.sigma0 <= self.sigma_cap <= SIGMA_CAP:
+        if not 0 < self.sigma0 <= SIGMA_CAP:
             raise ValueError(
-                f"need 0 < sigma0 <= sigma_cap <= {SIGMA_CAP:g}, got "
-                f"sigma0={self.sigma0}, sigma_cap={self.sigma_cap}"
-            )
+                f"sigma0 must be in (0, {SIGMA_CAP:g}], got {self.sigma0}")
         for name in ("t_max", "loop_max", "gd_max_iters"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
@@ -232,13 +228,16 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
     """Run the full outer loop and disambiguate the result.
 
     Starts from the feasible, unbiased F = Y with zero multipliers and sigma
-    at max(sigma0, 1.01 * 2 beta max_i |S_i|). Below 2 beta |S_i| the reward
-    -beta ||F||^2 outgrows the clamp penalty as mass moves between the
-    candidates of row i, and the Lagrangian has no lower bound; at the floor
-    it is bounded below whenever alpha >= 101 beta c. Stops
-    when the Frobenius change between outer iterates drops to eps1 or after
-    loop_max loops. cccp_histories, when given, collects the per-loop inner
-    Lagrangian sequences (used to audit descent).
+    at max(sigma0, 1.01 * 2 beta max_i |S_i|), a floor that must not exceed
+    SIGMA_CAP. Below 2 beta |S_i| the reward -beta ||F||^2 outgrows the
+    clamp penalty as mass moves between the candidates of row i, and the
+    Lagrangian has no lower bound. At the floor, if alpha >= 101 beta c, it
+    is bounded below along every direction that keeps every row sum, but a
+    direction that changes a row sum can still lower it without bound; once
+    sigma >= 1.01 * 2 beta (c + 1) it is bounded below for every alpha and
+    graph. Stops when the Frobenius change between outer iterates drops to
+    eps1 or after loop_max loops. cccp_histories, when given, collects the
+    per-loop inner Lagrangian sequences (used to audit descent).
     """
     if graph.n == 0 or codec.n == 0:
         raise ValueError("cannot fit an empty graph")
@@ -248,9 +247,9 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
         )
     max_set = int((codec.Y > 0).sum(axis=1).max())
     floor = _SIGMA_FLOOR_MARGIN * 2.0 * cfg.beta * max_set
-    if floor > cfg.sigma_cap:
+    if floor > SIGMA_CAP:
         raise ValueError(f"sigma floor {floor:g} from beta={cfg.beta} and max "
-                         f"|S_i|={max_set} exceeds sigma_cap={cfg.sigma_cap:g}")
+                         f"|S_i|={max_set} exceeds the cap {SIGMA_CAP:g}")
     p = cfg.params()
     state = AlmState(
         F=codec.Y.copy(),
@@ -276,7 +275,7 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
         state.lambda1 = np.maximum(0.0, state.lambda1 - state.sigma * F)
         r = F.sum(axis=1) - 1.0
         state.lambda2 = state.lambda2 - state.sigma * r
-        state.sigma = min(cfg.rho * state.sigma, cfg.sigma_cap)
+        state.sigma = min(cfg.rho * state.sigma, SIGMA_CAP)
         state.F = F
 
         delta = float(np.linalg.norm(F - F_prev))

@@ -138,10 +138,38 @@ class TestFit:
             raise SolverDivergenceError("non-finite iterate at loop 3")
 
         monkeypatch.setattr(cli, "alm_fit", diverge)
+        out = tmp_path / "fit"
         assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
-                       "--out", str(tmp_path / "fit"), *FAST) == EXIT_SOLVER
+                       "--out", str(out), *FAST) == EXIT_SOLVER
         assert capsys.readouterr().err == (
             "error: code=SOLVER msg=non-finite iterate at loop 3\n")
+        assert not out.exists()
+
+    def test_K_at_least_n_is_data_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--K", "40", "--out", str(out)) == EXIT_DATA
+        assert_data_error(capsys, "K must be in 1..39, got 40")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["features", "manifest"])
+    def test_zero_row_names_its_input(self, synth_dir, tmp_path, capsys, via):
+        features = tmp_path / "features.tsv"
+        X = np.loadtxt(synth_dir / "features.tsv", ndmin=2)
+        X[4] = 0.0
+        write_features(features, X)
+        manifest = tmp_path / "manifest.txt"
+        manifest.write_text(f"features={features}\ncandidates="
+                            f"{synth_dir / 'candidates.txt'}\n")
+        inputs = (["--manifest", str(manifest)] if via == "manifest" else
+                  ["--features", str(features), "--candidates",
+                   str(synth_dir / "candidates.txt")])
+        out = tmp_path / "fit"
+        assert run_cli("fit", *inputs, "--normalize",
+                       "--out", str(out)) == EXIT_DATA
+        named = manifest if via == "manifest" else features
+        assert_data_error(capsys, f"msg={named}: zero-norm feature row 5")
+        assert not out.exists()
 
     def test_trace_csv(self, synth_dir, tmp_path):
         out = tmp_path / "fit"
@@ -292,8 +320,22 @@ class TestPredict:
         predictor = Predictor(np.loadtxt(model / "model_features.tsv", ndmin=2),
                               np.loadtxt(model / "onehot.csv", delimiter=",",
                                          ndmin=2), meta["K"], meta["theta"])
-        want, _ = predict_batch(predictor, normalize_unit_length(X))
+        want, _ = predict_batch(predictor,
+                                normalize_unit_length(X, "test.tsv"))
         np.testing.assert_array_equal(preds[0][:, 1], want)
+
+    def test_zero_test_row_names_the_features_file(self, synth_dir, tmp_path,
+                                                   capsys):
+        model = tmp_path / "model"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--normalize", "--out", str(model), *FAST) == EXIT_OK
+        test = tmp_path / "test.tsv"
+        test.write_text("1\t2\n0\t0\n")
+        pred = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", str(model), "--features",
+                       str(test), "--out", str(pred)) == EXIT_DATA
+        assert_data_error(capsys, f"msg={test}: zero-norm feature row 2")
+        assert not pred.exists()
 
     def test_model_without_normalize_key_is_unscaled(self, fitted_model,
                                                      synth_dir, tmp_path):
@@ -348,22 +390,26 @@ class TestFoldErrors:
     """cv and sweep keep the exit code of a fold's error and name the fold."""
 
     def test_cv_K_too_large_is_data_error(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "cv"
         code = run_cli("cv", "--manifest", str(synth_dir / "manifest.txt"),
-                       "--K", "100", "--out", str(tmp_path / "cv"))
+                       "--K", "100", "--out", str(out))
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith(
             "error: code=DATA msg=fold 1: K must be in 1..")
+        assert not out.exists()
 
     def test_sweep_K_too_large_is_data_error(self, synth_dir, tmp_path,
                                              capsys):
         grid = tmp_path / "grid.txt"
         grid.write_text("K=3,100\n")
+        out = tmp_path / "sweep"
         code = run_cli("sweep", "--manifest", str(synth_dir / "manifest.txt"),
-                       "--grid", str(grid), "--out", str(tmp_path / "sweep"),
+                       "--grid", str(grid), "--out", str(out),
                        "--loop-max", "2")
         assert code == EXIT_DATA
         assert capsys.readouterr().err.startswith(
             "error: code=DATA msg=fold 1: K must be in 1..")
+        assert not out.exists()
 
 
 def run_cli_process(threads, *argv):
@@ -553,6 +599,16 @@ class TestConfigHandling:
         assert code == EXIT_DATA
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_sigma_cap_is_not_a_config_key(self, synth_dir, tmp_path, capsys):
+        # the penalty cap is fixed at 1e8, not a setting
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("sigma_cap=1e6\n")
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
+                       "--config", str(cfgfile), "--out", str(out)) == EXIT_DATA
+        assert_data_error(capsys, f"msg={cfgfile}: unknown key 'sigma_cap'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, key", [
         ("alpha=x", "alpha"), ("normalize=ture", "normalize")])
     def test_bad_config_value_is_data_error(self, synth_dir, tmp_path, capsys,
@@ -582,7 +638,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("bad, name", [
         pytest.param(["--t-max", "0"], "t_max", id="flag"),
-        pytest.param("sigma_cap=1e9", "sigma_cap", id="config"),
+        pytest.param("sigma0=1e9", "sigma0", id="config"),
         pytest.param(["--alpha", "-1"], "alpha", id="alpha"),
         pytest.param(["--beta", "-1"], "beta", id="beta"),
         pytest.param(["--K", "0"], "K", id="K"),
@@ -629,7 +685,7 @@ class TestConfigHandling:
     # switches are set by a bare flag and by "true" in a config file
     SETTING_VALUES = {
         "alpha": "50", "beta": "0.02", "K": "4", "theta": "0.7", "rho": "1.2",
-        "sigma0": "2", "sigma_cap": "1e6", "t_max": "5", "eps0": "1e-5",
+        "sigma0": "2", "t_max": "5", "eps0": "1e-5",
         "loop_max": "3", "eps1": "1e-3", "gd_max_iters": "50",
         "gd_grad_tol": "1e-4", "seed": "5", "deterministic": "true",
         "normalize": "true",
@@ -667,6 +723,14 @@ def test_readme_lists_the_key_tables(name, table):
                        README.read_text())
     assert listed is not None
     assert re.findall(r"`(\w+)`", listed.group(1)) == list(table)
+
+
+def test_readme_lists_the_solver_defaults():
+    # the defaults paragraph gives every SolverConfig field, and no other
+    # knob, as `name=value`
+    paragraph = README.read_text().split("Solver defaults", 1)[1]
+    assert set(re.findall(r"`(\w+)=", paragraph.split("\n\n", 1)[0])) == {
+        f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def test_readme_cli_examples_parse():

@@ -174,22 +174,23 @@ class TestInvariants:
 
 class TestNormalize:
     def test_three_four_five(self):
-        out = normalize_unit_length(np.array([[3.0, 4.0]]))
+        out = normalize_unit_length(np.array([[3.0, 4.0]]), "x.tsv")
         np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
 
     def test_idempotent(self, rng):
-        once = normalize_unit_length(rng.normal(size=(6, 3)))
-        twice = normalize_unit_length(once)
+        once = normalize_unit_length(rng.normal(size=(6, 3)), "x.tsv")
+        twice = normalize_unit_length(once, "x.tsv")
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_all_rows_unit_norm(self, rng):
-        norms = np.linalg.norm(normalize_unit_length(rng.normal(size=(5, 3))),
-                               axis=1)
+        norms = np.linalg.norm(
+            normalize_unit_length(rng.normal(size=(5, 3)), "x.tsv"), axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     def test_zero_row_identified(self):
-        with pytest.raises(DataFormatError, match="row 2"):
-            normalize_unit_length(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(DataFormatError,
+                           match="^x.tsv: zero-norm feature row 2$"):
+            normalize_unit_length(np.array([[1.0, 0.0], [0.0, 0.0]]), "x.tsv")
 
 
 class TestSynthetic:

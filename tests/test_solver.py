@@ -135,11 +135,11 @@ class TestAlmFit:
         ds = Dataset(features=rng.normal(size=(4, 2)),
                      candidates=((1, 2), (1,), (2,), (1, 2)), c=2)
         graph = edgeless_graph(4)
-        cfg = SolverConfig(sigma0=1.0, rho=1.5, sigma_cap=2.0, loop_max=6,
-                           eps1=1e-18)
+        cfg = SolverConfig(sigma0=5e7, rho=1.5, loop_max=6, eps1=1e-18)
         report = alm_fit(graph, encode(ds), cfg)
         sigmas = [row.sigma for row in report.trace]
-        assert sigmas == [1.0, 1.5, 2.0, 2.0, 2.0, 2.0]
+        assert len(sigmas) >= 4  # the cap holds once reached
+        assert sigmas == [5e7, 7.5e7] + [SIGMA_CAP] * (len(sigmas) - 2)
 
     def test_lambda1_stays_nonnegative(self, rng):
         graph = random_symmetric_graph(rng, 6)
@@ -154,7 +154,7 @@ class TestAlmFit:
             state.lambda1 = np.maximum(0.0, state.lambda1 - state.sigma * F)
             assert np.all(state.lambda1 >= 0.0)
             state.lambda2 = state.lambda2 - state.sigma * (F.sum(axis=1) - 1.0)
-            state.sigma = min(cfg.rho * state.sigma, cfg.sigma_cap)
+            state.sigma = min(cfg.rho * state.sigma, SIGMA_CAP)
             state.F = F
 
     def test_empty_graph_rejected(self):
@@ -200,7 +200,9 @@ class TestSigmaFloor:
         # worst graph. A ray inside one row's candidates needs sigma >= 2 beta
         # |S_i|; a ray onto non-candidates also needs alpha large next to beta
         # (alpha >= 101 beta c is enough; at alpha = beta, c = 3, the ray
-        # (1, -1/2, -1/2) from a singleton {1} has coefficient -0.495 beta)
+        # (1, -1/2, -1/2) from a singleton {1} has coefficient -0.495 beta).
+        # Only rays that keep every row sum are bounded at the floor (see the
+        # next test).
         for _ in range(30):
             n, c = int(rng.integers(2, 7)), int(rng.integers(2, 5))
             beta = float(rng.uniform(0.05, 1.0))
@@ -225,11 +227,53 @@ class TestSigmaFloor:
                               for t in (0.0, 1.0, 2.0))
                 assert L2 - 2.0 * L1 + L0 >= -1e-9 * (1.0 + abs(L2))
 
+    @staticmethod
+    def t2_coefficient(D, codec, sigma, alpha, beta):
+        # t^2 coefficient of L(t D) on an edgeless graph, zero multipliers
+        state = AlmState(F=codec.Y, lambda1=np.zeros_like(D),
+                         lambda2=np.zeros(len(D)), sigma=sigma)
+        L0, L1, L2 = (linearized_objective(
+            t * D, t * D, state, edgeless_graph(len(D)), codec,
+            SolverConfig(alpha=alpha, beta=beta).params())
+            for t in (0.0, 1.0, 2.0))
+        return (L2 - 2.0 * L1 + L0) / 2.0
+
+    def test_floor_does_not_bound_rays_that_change_a_row_sum(self):
+        # the row-sum penalty sigma/2 (sum D)^2 is too weak at the floor, even
+        # with alpha above 101 beta c
+        phi = (1.0 + np.sqrt(5.0)) / 2.0
+        for S, D in [((1, 2), [phi, -1.0]), ((1, 2, 3), [1.0, -0.366, -0.366])]:
+            c, beta = len(S), 0.5
+            codec = encode(Dataset(features=np.zeros((1, 2)), candidates=(S,),
+                                   c=c))
+            floor = 1.01 * 2.0 * beta * c
+            assert alm_fit(edgeless_graph(1), codec, SolverConfig(
+                alpha=1000.0, beta=beta, sigma0=1e-3, loop_max=1, t_max=1,
+                gd_max_iters=1)).trace[0].sigma == pytest.approx(floor)
+            assert self.t2_coefficient(np.array([D]), codec, floor, 1000.0,
+                                       beta) < -0.1
+
+    def test_lagrangian_is_bounded_below_from_sigma_2_beta_c_plus_1(self, rng):
+        # ||D||^2 <= (c + 1)((sum D)^2 + ||min(D, 0)||^2) by Young's inequality
+        # with eps = 1/(c - 1), so at sigma = 1.01 * 2 beta (c + 1) every ray,
+        # row sums kept or not, has a positive t^2 coefficient at any alpha
+        for _ in range(30):
+            n, c = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+            beta = float(rng.uniform(0.05, 1.0))
+            codec = encode(Dataset(features=np.zeros((n, 2)),
+                                   candidates=random_candidates(rng, n, c),
+                                   c=c))
+            for D in rng.normal(size=(10, n, c)):
+                assert self.t2_coefficient(
+                    D, codec, 1.01 * 2.0 * beta * (c + 1), 0.0, beta
+                ) >= 0.009 * beta * np.vdot(D, D)
+
     def test_floor_above_sigma_cap_is_rejected(self):
         graph, codec = single_ambiguous_instance()  # |S_1| = 2
-        with pytest.raises(ValueError, match=r"4\.04 from beta=1\.0 and max "
-                                             r"\|S_i\|=2 exceeds sigma_cap=2"):
-            alm_fit(graph, codec, SolverConfig(beta=1.0, sigma_cap=2.0))
+        with pytest.raises(ValueError, match=r"4\.04e\+08 from beta=100000000"
+                                             r"\.0 and max \|S_i\|=2 exceeds "
+                                             r"the cap 1e\+08"):
+            alm_fit(graph, codec, SolverConfig(beta=1e8))
 
 
 class TestCccp:
@@ -395,12 +439,11 @@ class TestConfig:
             SolverConfig(sigma0=1e9)
 
     def test_sigma_cap_within_state_bound(self):
-        # sigma0 <= sigma_cap <= SIGMA_CAP, the bound AlmState enforces
-        with pytest.raises(ValueError):
-            SolverConfig(sigma0=9e7, sigma_cap=1e9)
-        with pytest.raises(ValueError):
-            SolverConfig(sigma_cap=0.5)
-        SolverConfig(sigma0=SIGMA_CAP, sigma_cap=SIGMA_CAP)
+        # sigma0 in (0, SIGMA_CAP], the bound AlmState enforces
+        for bad in (-1.0, 0.0, np.nextafter(SIGMA_CAP, np.inf)):
+            with pytest.raises(ValueError, match="sigma0 must be in"):
+                SolverConfig(sigma0=bad)
+        SolverConfig(sigma0=SIGMA_CAP)
 
     @pytest.mark.parametrize("name", ["t_max", "loop_max", "gd_max_iters"])
     def test_loop_budgets_at_least_one(self, name):
