@@ -148,6 +148,9 @@ def _start(args, command: str) -> tuple[Dataset, SolverConfig, dict]:
     """Check every input of a fit, cv or sweep run and return its data, its
     solver config and the merged settings."""
     merged = resolve_config(args)
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise DataFormatError(f"--out {out} exists and is not a directory")
     if merged["manifest"]:
         ds = load_manifest(merged["manifest"])
     elif merged["features"] and merged["candidates"]:

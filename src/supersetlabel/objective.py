@@ -104,14 +104,16 @@ def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
 
 def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
                   graph: KnnGraph, codec: LabelCodec,
-                  p: ObjectiveParams) -> np.ndarray:
+                  p: ObjectiveParams,
+                  LF: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the linearized objective at F.
 
     The clamped multiplier M is recomputed at the argument F, which makes
-    the nonnegativity penalty differentiable almost everywhere.
+    the nonnegativity penalty differentiable almost everywhere. LF, when
+    given, stands for the product L F, which is then not recomputed.
     """
     _check_dims(F, graph, codec)
-    g = graph.laplacian_apply(F)
+    g = graph.laplacian_apply(F) if LF is None else LF.copy()
     g *= 2.0
     g += 2.0 * p.alpha * codec.H * (F - codec.Y)
     g -= np.maximum(0.0, state.lambda1 - state.sigma * F)

@@ -1,10 +1,11 @@
-"""ALM outer loop with a CCCP inner solver and preconditioned descent.
+"""ALM outer loop with a CCCP inner solver and block-preconditioned CG.
 
 Each outer loop minimizes the augmented Lagrangian over F at fixed
 multipliers (CCCP replaces the concave discrimination term by its tangent at
 the current iterate F_t, which turns the Lagrangian into the convex surrogate
-Lagrangian + beta ||F - F_t||^2, and minimizes that by preconditioned
-descent), then applies the standard multiplier updates
+Lagrangian + beta ||F - F_t||^2, and minimizes that by nonlinear conjugate
+gradients preconditioned with the exact inverse of each row's Hessian block),
+then applies the standard multiplier updates
 
     Lambda1 <- max(0, Lambda1 - sigma F)
     Lambda2 <- Lambda2 - sigma (F 1_c - 1_n)
@@ -32,6 +33,7 @@ from .objective import (
 )
 
 _ARMIJO_C = 1e-4
+_Q_FLOOR = 1e-4
 _BACKTRACK = 0.5
 _STEP_UNDERFLOW = 1e-16
 _SIGMA_FLOOR_MARGIN = 1.01
@@ -47,8 +49,8 @@ class SolverConfig:
 
     A gd_grad_tol left as None is resolved at run time to 1e-6 * sqrt(n*c).
     alm_fit raises sigma0 to the floor 1.01 * 2 beta max_i |S_i|.
-    The line search of the inner descent has fixed constants, not knobs
-    (see gd_minimize).
+    The inner descent's preconditioner floor, its first-step cap and its
+    line search are fixed constants, not knobs (see gd_minimize).
     """
 
     alpha: float = 1000.0
@@ -129,52 +131,77 @@ class SolverReport:
 def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
                 graph: KnnGraph, codec: LabelCodec,
                 cfg: SolverConfig) -> np.ndarray:
-    """Minimize the linearized objective by Jacobi-preconditioned descent.
+    """Minimize the linearized objective by block-preconditioned nonlinear CG.
 
-    The direction is d = g / P, where P is the surrogate's Hessian diagonal
-    2 deg + 2 alpha H + sigma [Lambda1 - sigma F > 0] plus sigma c for the
-    row-sum penalty (the largest eigenvalue of its sigma 1 1' block). P is
-    recomputed at every iterate because the clamp's active set moves. The
-    surrogate is the Lagrangian plus beta ||F - F_t||^2. A step tau*d is
+    The preconditioner is the surrogate's Hessian with the Laplacian's
+    off-diagonal coupling dropped: per row i the block diag(q_i) + sigma 1 1',
+    where q = max(2 deg + 2 alpha H, _Q_FLOOR sigma) + sigma [Lambda1 - sigma
+    F > 0] and sigma 1 1' is the row-sum penalty. q is recomputed at every
+    iterate because the clamp's active set moves. Each block is inverted
+    exactly by the Sherman-Morrison formula, so z = P^-1 g costs O(nc) and
+    keeps the full step along moves that keep a row sum, the moves that
+    disambiguate. The floor _Q_FLOOR sigma (_Q_FLOOR = 1e-4) keeps a block
+    well conditioned on a row of near-zero degree, where rounding in g would
+    otherwise set the sign of the row's direction. Directions are conjugate by
+    Polak-Ribiere+ in the P^-1 metric, reset to z when the conjugate direction
+    is not a descent direction.
+
+    The surrogate is the Lagrangian plus beta ||F - F_t||^2. A step tau*d is
     accepted when it decreases the surrogate by at least _ARMIJO_C * tau *
-    <g, d> (_ARMIJO_C = 1e-4); tau starts at 1, the Newton step of the
-    diagonal model, and is halved (_BACKTRACK = 0.5) while the test fails,
-    and after an accepted step the next trial is twice that step. Stops on a
-    small gradient, the iteration budget gd_max_iters, or stepsize underflow
-    below 1e-16.
+    <g, d> (_ARMIJO_C = 1e-4). The first trial is 1, or after an accepted
+    step twice that step, but never beyond slope / curv, the minimizer of
+    the smooth quadratic part along d; a rejected trial is halved
+    (_BACKTRACK = 0.5). Stops on a small gradient, the iteration budget
+    gd_max_iters, or stepsize underflow below 1e-16.
 
     The surrogate is never evaluated for the test. Its exact change along
     -tau d is -tau <g, d> + tau^2 curv / 2 + excess, where curv is the
-    curvature of the smooth quadratic part along d (one Laplacian apply per
-    step) and excess >= 0 is what the nonnegativity clamp adds beyond its
-    tangent, a sum of nonnegative O(nc) terms per trial. The test compares
-    these small terms with (1 - _ARMIJO_C) tau <g, d> and so never subtracts
-    two large surrogate values, whose rounding error can exceed the decrease
-    being tested.
+    curvature of the smooth quadratic part along d and excess >= 0 is what
+    the nonnegativity clamp adds beyond its tangent, a sum of nonnegative
+    O(nc) terms per trial. The test compares these small terms with
+    (1 - _ARMIJO_C) tau <g, d> and so never subtracts two large surrogate
+    values, whose rounding error can exceed the decrease being tested.
+    L F is carried along the steps (L F -= tau L d, with L d the product
+    the curvature needs), so an iteration makes one Laplacian apply.
     """
     p = cfg.params()
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
     tau_cap = 1.0 / _STEP_UNDERFLOW
     sigma = state.sigma
-    # the part of the Hessian diagonal that does not depend on F
-    P_fixed = (2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H
-               + sigma * F_init.shape[1])
+    # the part of q that does not depend on F
+    P_fixed = np.maximum(2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H,
+                         _Q_FLOOR * sigma)
     F = F_init.copy()
+    LF = graph.laplacian_apply(F)
     trial = 1.0
+    z_prev = d_prev = gz_prev = None
     for _ in range(cfg.gd_max_iters):
-        g = cccp_gradient(F, F_t, state, graph, codec, p)
+        g = cccp_gradient(F, F_t, state, graph, codec, p, LF=LF)
         if np.sqrt(np.vdot(g, g)) <= grad_tol:
             break
         arg = state.lambda1 - sigma * F
         M = np.maximum(arg, 0.0)
-        d = g / (P_fixed + sigma * (arg > 0.0))
+        # z = (diag(q_i) + sigma 1 1')^-1 g_i per row, by Sherman-Morrison
+        w = 1.0 / (P_fixed + sigma * (arg > 0.0))
+        s = (sigma * np.einsum("ij,ij->i", w, g)
+             / (1.0 + sigma * w.sum(axis=1)))
+        z = w * (g - s[:, None])
+        d = z
+        if z_prev is not None:
+            pr = np.vdot(g, z - z_prev) / gz_prev
+            if pr > 0.0:
+                d = z + pr * d_prev
+                if np.vdot(g, d) <= 0.0:
+                    d = z
+        z_prev, gz_prev = z, np.vdot(g, z)
         slope = np.vdot(g, d)
+        Ld = graph.laplacian_apply(d)
         row_sums = d.sum(axis=1)
-        curv = (2.0 * np.vdot(d, graph.laplacian_apply(d))
+        curv = (2.0 * np.vdot(d, Ld)
                 + 2.0 * p.alpha * np.vdot(codec.H * d, d)
                 + sigma * np.vdot(row_sums, row_sums))
         sigma_d = sigma * d
-        tau = trial
+        tau = min(trial, slope / curv) if curv > 0.0 else trial
         while True:
             # the clamp argument moves from arg to b = arg + tau sigma d;
             # with B = max(b, 0),
@@ -193,6 +220,8 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
                               "iterate", stacklevel=2)
                 return F
         F -= tau * d
+        LF -= tau * Ld
+        d_prev = d
         # optimistic restart: look a bit further than the accepted step
         trial = min(tau / _BACKTRACK, tau_cap)
     return F

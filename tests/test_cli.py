@@ -115,7 +115,26 @@ class TestFit:
         out.write_text("not a directory\n")
         assert run_cli("fit", "--manifest", str(synth_dir / "manifest.txt"),
                        "--out", str(out), *FAST) == EXIT_DATA
-        assert_data_error(capsys, "File exists", str(out))
+        assert_data_error(capsys, f"msg=--out {out} exists and is not a "
+                                  "directory")
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "sweep"])
+    def test_out_is_a_file_fails_before_the_fit(self, command, synth_dir,
+                                                tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("alm_fit called")
+
+        monkeypatch.setattr(cli, "alm_fit", no_fit)
+        monkeypatch.setattr(supersetlabel.evaluation, "alm_fit", no_fit)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        grid = tmp_path / "grid.txt"
+        grid.write_text("alpha=10\n")
+        extra = ["--grid", str(grid)] if command == "sweep" else []
+        assert run_cli(command, "--manifest", str(synth_dir / "manifest.txt"),
+                       "--out", str(out), *extra, *FAST) == EXIT_DATA
+        assert_data_error(capsys, f"msg=--out {out} exists")
+        assert out.read_text() == "not a directory\n"
 
     def test_no_input_is_data_error(self, tmp_path, capsys):
         out = tmp_path / "fit"

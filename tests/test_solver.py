@@ -132,14 +132,16 @@ class TestAlmFit:
             assert rows[-1][1] <= cfg.eps1
 
     def test_sigma_sequence(self, rng):
+        # one descent step per outer loop keeps F moving, so the run lasts
+        # all six loops and the cap must hold once reached
+        graph = random_symmetric_graph(rng, 4)
         ds = Dataset(features=rng.normal(size=(4, 2)),
                      candidates=((1, 2), (1,), (2,), (1, 2)), c=2)
-        graph = edgeless_graph(4)
-        cfg = SolverConfig(sigma0=5e7, rho=1.5, loop_max=6, eps1=1e-18)
+        cfg = SolverConfig(sigma0=5e7, rho=1.5, loop_max=6, eps1=1e-18,
+                           t_max=1, gd_max_iters=1)
         report = alm_fit(graph, encode(ds), cfg)
         sigmas = [row.sigma for row in report.trace]
-        assert len(sigmas) >= 4  # the cap holds once reached
-        assert sigmas == [5e7, 7.5e7] + [SIGMA_CAP] * (len(sigmas) - 2)
+        assert sigmas == [5e7, 7.5e7] + [SIGMA_CAP] * 4
 
     def test_lambda1_stays_nonnegative(self, rng):
         graph = random_symmetric_graph(rng, 6)
@@ -331,16 +333,61 @@ class TestGd:
         hits = sum(hit for _, _, hit in inner_calls)
         assert report.converged and inner_calls
         assert not hits, f"{hits} of {len(inner_calls)} inner calls hit the cap"
+        # a ratchet: 542 gradients; the Jacobi direction took 1,295 and the
+        # row-block direction without conjugate steps 930
+        grads = sum(n for n, _, _ in inner_calls)
+        assert grads <= 542, f"{grads} gradients in {len(inner_calls)} calls"
 
     def test_cap_hits_on_the_criterion_6_instances(self, inner_calls):
-        # a ratchet, not a goal: on these small dense graphs the Jacobi
-        # direction converges slowly, and 47 of 1,276 calls stop at the cap
-        # (117 of 1,362 before sigma started at its floor, 206 of 1,363 when
-        # the line search compared two surrogate values)
+        # on these small dense graphs a diagonal (Jacobi) direction stopped
+        # at the cap in 47 of 1,276 calls; the exact row-block direction with
+        # conjugate steps stops in none of 1,285
         fit_random_instances(np.random.default_rng(29), alpha_hi=50.0)
         hits = sum(hit for _, _, hit in inner_calls)
         assert len(inner_calls) > 1000
-        assert hits <= 47, f"{hits} of {len(inner_calls)} inner calls hit the cap"
+        assert not hits, f"{hits} of {len(inner_calls)} inner calls hit the cap"
+
+    def test_no_inner_call_hits_the_cap_on_hard_at_beta_0(self, inner_calls):
+        # the Jacobi direction stopped at the cap in 91 of 145 calls here
+        ds = make_synthetic(n=1000, c=5, d=2, sep=2.0, p_coocc=0.9, r_extra=2,
+                            seed=3)
+        report = alm_fit(build_knn_graph(ds, K=5, theta="auto"), encode(ds),
+                         SolverConfig(beta=0.0))
+        hits = sum(hit for _, _, hit in inner_calls)
+        assert report.converged
+        assert not hits, f"{hits} of {len(inner_calls)} inner calls hit the cap"
+
+    def test_isolated_point_keeps_the_row_sum(self):
+        # the point at (35, 35) has degree about 1e-26; without the floor on
+        # q its row-sum block is so ill-conditioned that rounding in g picks
+        # an ascent direction, and the fit ends "converged" with row-sum
+        # residual 0.021
+        X = np.vstack([np.random.default_rng(0).normal(size=(12, 2)),
+                       [[35.0, 35.0]]])
+        ds = Dataset(features=X,
+                     candidates=((1,),) * 4 + ((2,),) * 4 + ((1, 2),) * 5,
+                     c=3)
+        report = alm_fit(build_knn_graph(ds, K=2, theta="auto"), encode(ds),
+                         SolverConfig())
+        assert report.converged
+        assert report.rowsum_resid <= 1e-3
+
+    def test_row_block_step_is_exact(self, inner_calls):
+        # with no edges every row's Hessian is its block diag(q_i) + sigma 1 1'
+        # (plus sigma where the clamp is active), which the preconditioner
+        # inverts exactly; the Jacobi direction needed 50 gradients here
+        ds = Dataset(features=np.zeros((3, 2)),
+                     candidates=((1, 2), (1, 2, 3), (1,)), c=3)
+        codec = encode(ds)
+        F = np.full((3, 3), 0.4)
+        state = AlmState(F=F, lambda1=np.zeros((3, 3)),
+                         lambda2=np.array([0.1, -0.2, 0.3]), sigma=5.0)
+        graph = edgeless_graph(3)
+        cfg = SolverConfig(alpha=3.0, beta=0.0, gd_grad_tol=1e-10)
+        out = solver_module.gd_minimize(F, F, state, graph, codec, cfg)
+        g = cccp_gradient(out, F, state, graph, codec, cfg.params())
+        assert np.linalg.norm(g) <= 1e-10
+        assert inner_calls[0][0] <= 7
 
     def test_stationary_point_unchanged(self):
         graph, codec = single_ambiguous_instance()
