@@ -221,17 +221,22 @@ MODEL_META_KEYS = {"n": int, "d": int, "c": int, "K": int, "theta": float,
 
 def cmd_predict(args) -> int:
     model_dir = Path(args.model)
-    meta = read_kv_file(model_dir / "model_meta.txt", MODEL_META_KEYS,
-                        required=("K", "theta"))
+    meta_path = model_dir / "model_meta.txt"
+    meta = read_kv_file(meta_path, MODEL_META_KEYS, required=("K", "theta"))
     onehot = read_features(model_dir / "onehot.csv", ",", "onehot")
     train_features = read_features(model_dir / "model_features.tsv")
     predictor = Predictor(train_features, onehot, meta["K"], meta["theta"])
+    n, d = train_features.shape
+    for key, name, actual in (("n", "model_features.tsv", n),
+                              ("d", "model_features.tsv", d),
+                              ("c", "onehot.csv", onehot.shape[1])):
+        if key in meta and meta[key] != actual:
+            raise DataFormatError(f"{meta_path}: declared {key}={meta[key]} "
+                                  f"but {name} has {actual}")
     X = read_features(args.features)
-    if X.shape[1] != train_features.shape[1]:
+    if X.shape[1] != d:
         raise DataFormatError(
-            f"test features have {X.shape[1]} dims, model expects "
-            f"{train_features.shape[1]}"
-        )
+            f"test features have {X.shape[1]} dims, model expects {d}")
     if meta.get("normalize"):  # test rows live where the model's rows do
         X = normalize_unit_length(X, args.features)
     labels, scores = predict_batch(predictor, X)

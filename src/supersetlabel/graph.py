@@ -13,11 +13,14 @@ kernel width, `check_theta`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import Dataset
+
+if TYPE_CHECKING:  # imported where a graph is built, so predict never loads it
+    import scipy.sparse as sp
 
 # a scanned block holds about this many pairwise distances (512 KiB)
 _BLOCK_ENTRIES = 65536
@@ -28,11 +31,11 @@ class KnnGraph:
     """Symmetric weighted adjacency W with degrees and Laplacian L = D - W."""
 
     W: sp.csr_matrix
-    K: int
     theta: float
     degrees: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        import scipy.sparse as sp
         self.W = sp.csr_matrix(self.W)
         self.degrees = np.asarray(self.W.sum(axis=1)).ravel()
 
@@ -133,6 +136,7 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     symmetric. Coincident examples get weight 1. theta="auto" takes the mean
     neighbor distance from the same scan.
     """
+    import scipy.sparse as sp
     n = ds.n
     if not 1 <= K <= n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
@@ -142,4 +146,4 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     w = gaussian_weight(nbr_d2, theta)
     W = sp.csr_matrix((w.ravel(), nbr_idx.ravel(), np.arange(0, n * K + 1, K)),
                       shape=(n, n))
-    return KnnGraph(W=W.maximum(W.T), K=K, theta=theta)
+    return KnnGraph(W=W.maximum(W.T), theta=theta)

@@ -16,6 +16,8 @@ Lagrangian into the convex surrogate
 
 an upper bound that touches the Lagrangian at F = F_t; the Lagrangian itself
 is linearized_objective(F, F).
+
+H is 0 wherever Y is nonzero, so H . (F - Y) is computed as H . F.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def primal_objective(F: np.ndarray, graph: KnnGraph, codec: LabelCodec,
     """Smoothness + fidelity - discrimination, ignoring the constraints."""
     _check_dims(F, graph, codec)
     smooth = float(np.sum(F * graph.laplacian_apply(F)))
-    resid = codec.H * (F - codec.Y)
+    resid = codec.H * F
     fidelity = p.alpha * float(np.sum(resid * resid))
     discrimination = p.beta * float(np.sum(F * F))
     return smooth + fidelity - discrimination
@@ -115,7 +117,7 @@ def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
     _check_dims(F, graph, codec)
     g = graph.laplacian_apply(F) if LF is None else LF.copy()
     g *= 2.0
-    g += 2.0 * p.alpha * codec.H * (F - codec.Y)
+    g += 2.0 * p.alpha * codec.H * F
     g -= np.maximum(0.0, state.lambda1 - state.sigma * F)
     g -= state.lambda2[:, None]
     g += state.sigma * (F.sum(axis=1) - 1.0)[:, None]

@@ -128,9 +128,8 @@ class SolverReport:
         return [astuple(row) for row in self.trace]
 
 
-def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
-                graph: KnnGraph, codec: LabelCodec,
-                cfg: SolverConfig) -> np.ndarray:
+def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
+                codec: LabelCodec, cfg: SolverConfig) -> np.ndarray:
     """Minimize the linearized objective by block-preconditioned nonlinear CG.
 
     The preconditioner is the surrogate's Hessian with the Laplacian's
@@ -146,13 +145,14 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     Polak-Ribiere+ in the P^-1 metric, reset to z when the conjugate direction
     is not a descent direction.
 
-    The surrogate is the Lagrangian plus beta ||F - F_t||^2. A step tau*d is
-    accepted when it decreases the surrogate by at least _ARMIJO_C * tau *
-    <g, d> (_ARMIJO_C = 1e-4). The first trial is 1, or after an accepted
-    step twice that step, but never beyond slope / curv, the minimizer of
-    the smooth quadratic part along d; a rejected trial is halved
-    (_BACKTRACK = 0.5). Stops on a small gradient, the iteration budget
-    gd_max_iters, or stepsize underflow below 1e-16.
+    The surrogate is the Lagrangian plus beta ||F - F_init||^2: the concave
+    term is linearized at the start F_init, which is not modified. A step
+    tau*d is accepted when it decreases the surrogate by at least _ARMIJO_C *
+    tau * <g, d> (_ARMIJO_C = 1e-4). The first trial is 1, or after an
+    accepted step twice that step, but never beyond slope / curv, the
+    minimizer of the smooth quadratic part along d; a rejected trial is
+    halved (_BACKTRACK = 0.5). Stops on a small gradient, the iteration
+    budget gd_max_iters, or stepsize underflow below 1e-16.
 
     The surrogate is never evaluated for the test. Its exact change along
     -tau d is -tau <g, d> + tau^2 curv / 2 + excess, where curv is the
@@ -176,7 +176,7 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
     trial = 1.0
     z_prev = d_prev = gz_prev = None
     for _ in range(cfg.gd_max_iters):
-        g = cccp_gradient(F, F_t, state, graph, codec, p, LF=LF)
+        g = cccp_gradient(F, F_init, state, graph, codec, p, LF=LF)
         if np.sqrt(np.vdot(g, g)) <= grad_tol:
             break
         arg = state.lambda1 - sigma * F
@@ -228,32 +228,24 @@ def gd_minimize(F_init: np.ndarray, F_t: np.ndarray, state: AlmState,
 
 
 def cccp_minimize(state: AlmState, graph: KnnGraph, codec: LabelCodec,
-                  cfg: SolverConfig,
-                  history: list[float] | None = None) -> np.ndarray:
+                  cfg: SolverConfig) -> np.ndarray:
     """Minimize the Lagrangian at fixed multipliers, starting from state.F.
 
     Each iteration re-linearizes the concave term at the current iterate and
     descends the convex surrogate. Because the surrogate upper-bounds the
     Lagrangian and touches it at the linearization point, the Lagrangian is
-    non-increasing across iterations. When history is given, its value at
-    every iterate (including the start) is appended.
+    non-increasing across iterations. state.F is not modified.
     """
-    p = cfg.params()
-    F = state.F.copy()
-    if history is not None:
-        history.append(linearized_objective(F, F, state, graph, codec, p))
+    F = state.F
     for _ in range(cfg.t_max):
-        F_t = F
-        F = gd_minimize(F_t, F_t, state, graph, codec, cfg)
-        if history is not None:
-            history.append(linearized_objective(F, F, state, graph, codec, p))
+        F_t, F = F, gd_minimize(F, state, graph, codec, cfg)
         if np.linalg.norm(F - F_t) <= cfg.eps0:
             break
     return F
 
 
-def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
-            cccp_histories: list[list[float]] | None = None) -> SolverReport:
+def alm_fit(graph: KnnGraph, codec: LabelCodec,
+            cfg: SolverConfig) -> SolverReport:
     """Run the full outer loop and disambiguate the result.
 
     Starts from the feasible, unbiased F = Y with zero multipliers and sigma
@@ -265,8 +257,7 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
     direction that changes a row sum can still lower it without bound; once
     sigma >= 1.01 * 2 beta (c + 1) it is bounded below for every alpha and
     graph. Stops when the Frobenius change between outer iterates drops to
-    eps1 or after loop_max loops. cccp_histories, when given, collects the
-    per-loop inner Lagrangian sequences (used to audit descent).
+    eps1 or after loop_max loops.
     """
     if graph.n == 0 or codec.n == 0:
         raise ValueError("cannot fit an empty graph")
@@ -290,10 +281,7 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
     converged = False
     for loop in range(1, cfg.loop_max + 1):
         F_prev = state.F
-        history: list[float] | None = [] if cccp_histories is not None else None
-        F = cccp_minimize(state, graph, codec, cfg, history=history)
-        if cccp_histories is not None:
-            cccp_histories.append(history)
+        F = cccp_minimize(state, graph, codec, cfg)
         if not np.all(np.isfinite(F)):
             raise SolverDivergenceError(f"non-finite iterate at loop {loop}")
         sigma_used = state.sigma

@@ -1,10 +1,20 @@
-"""Shared builders for small random problem instances."""
+"""Shared builders for small random problem instances, and a recorder of
+the inner solves."""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from supersetlabel import Dataset, encode
+from supersetlabel import (
+    Dataset,
+    SolverConfig,
+    alm_fit,
+    encode,
+    linearized_objective,
+)
+from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
 from supersetlabel.objective import AlmState, ObjectiveParams
 
@@ -16,7 +26,7 @@ def random_symmetric_graph(rng, n, edge_prob=0.6, w_lo=0.1, w_hi=1.0):
         for k in range(i + 1, n):
             if rng.random() < edge_prob:
                 W[i, k] = W[k, i] = rng.uniform(w_lo, w_hi)
-    return KnnGraph(W=sp.csr_matrix(W), K=0, theta=1.0)
+    return KnnGraph(W=sp.csr_matrix(W), theta=1.0)
 
 
 def lattice(side):
@@ -75,6 +85,69 @@ def random_state(rng, n, c):
         lambda2=rng.normal(size=n),
         sigma=float(rng.uniform(0.5, 10.0)),
     )
+
+
+def fit_random_instances(rng, alpha_hi):
+    """Twenty short fits on small dense random graphs, drawn as criterion 6
+    draws them (criterion 6 uses alpha_hi=50)."""
+    for _ in range(20):
+        n, c = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+        graph = random_symmetric_graph(rng, n)
+        ds = Dataset(features=rng.normal(size=(n, 2)),
+                     candidates=random_candidates(rng, n, c,
+                                                  ensure_singleton=True),
+                     c=c)
+        alm_fit(graph, encode(ds),
+                SolverConfig(alpha=float(rng.uniform(1.0, alpha_hi)),
+                             beta=float(rng.uniform(0.0, 0.5)),
+                             loop_max=4, gd_max_iters=80))
+
+
+@dataclass
+class InnerCall:
+    """One gd_minimize call, which is one CCCP iteration of the solve."""
+
+    grads: int = 0            # gradients computed
+    grad_norm: float = np.nan  # norm of the last one
+    hit: bool | None = None   # set on return: stopped at the cap, norm above tol
+    before: float = np.nan    # augmented Lagrangian at the start F_init
+    after: float = np.nan     # and at the result
+
+
+@pytest.fixture
+def inner_calls(monkeypatch):
+    """The InnerCall of every gd_minimize call, in call order.
+
+    hit is true when the call computed gd_max_iters gradients and the last
+    gradient norm is still above the tolerance. before and after are
+    linearized_objective(F, F), the augmented Lagrangian at fixed
+    multipliers, which each CCCP iteration must not increase.
+    """
+    calls = []
+    gd, grad = solver_module.gd_minimize, solver_module.cccp_gradient
+
+    def counted_gd(F_init, state, graph, codec, cfg):
+        def lagrangian(F):
+            return linearized_objective(F, F, state, graph, codec,
+                                        cfg.params())
+
+        call = InnerCall(before=lagrangian(F_init))
+        calls.append(call)
+        out = gd(F_init, state, graph, codec, cfg)
+        call.hit = bool(call.grads >= cfg.gd_max_iters and
+                        call.grad_norm > cfg.resolved_grad_tol(*F_init.shape))
+        call.after = lagrangian(out)
+        return out
+
+    def counted_grad(*args, **kwargs):
+        g = grad(*args, **kwargs)
+        calls[-1].grads += 1
+        calls[-1].grad_norm = float(np.sqrt(np.sum(g * g)))
+        return g
+
+    monkeypatch.setattr(solver_module, "gd_minimize", counted_gd)
+    monkeypatch.setattr(solver_module, "cccp_gradient", counted_grad)
+    return calls
 
 
 @pytest.fixture

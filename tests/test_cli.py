@@ -300,8 +300,15 @@ class TestPredict:
          "{model}/onehot.csv: non-numeric onehot token 'x' on line 1"),
         ("onehot.csv", lambda t: re.sub(r"(?m)\A(.*\n.*\n).*", r"\1x,0", t),
          "{model}/onehot.csv: non-numeric onehot token 'x' on line 3"),
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^n=.*$", "n=999", t),
+         "{model}/model_meta.txt: declared n=999 but model_features.tsv has 40"),
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^d=.*$", "d=5", t),
+         "{model}/model_meta.txt: declared d=5 but model_features.tsv has 2"),
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^c=.*$", "c=7", t),
+         "{model}/model_meta.txt: declared c=7 but onehot.csv has 2"),
     ], ids=["no_K", "no_theta", "short_onehot", "short_features",
-            "onehot_token", "onehot_token_line_3"])
+            "onehot_token", "onehot_token_line_3", "meta_n", "meta_d",
+            "meta_c"])
     def test_bad_model_is_data_error(self, fitted_model, synth_dir, tmp_path,
                                      capsys, name, edit, message):
         model = tmp_path / "model"
@@ -313,6 +320,17 @@ class TestPredict:
                        "--out", str(pred_path)) == EXIT_DATA
         assert_data_error(capsys, message.format(model=model))
         assert not pred_path.exists()
+
+    def test_model_without_shape_keys_predicts(self, fitted_model, synth_dir,
+                                               tmp_path):
+        # a model written before n, d and c were checked may lack them
+        model = tmp_path / "model"
+        shutil.copytree(fitted_model, model)
+        meta = model / "model_meta.txt"
+        meta.write_text(re.sub(r"(?m)^[ndc]=.*\n", "", meta.read_text()))
+        assert run_cli("predict", "--model", str(model),
+                       "--features", str(synth_dir / "features.tsv"),
+                       "--out", str(tmp_path / "pred.csv")) == EXIT_OK
 
     def test_normalized_model_scales_the_test_rows(self, synth_dir,
                                                    tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import supersetlabel
+from supersetlabel.cli import main
 
 PACKAGE = Path(supersetlabel.__file__).parent
 
@@ -61,14 +62,28 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
-def test_import_leaves_scipy_special_and_stats_unloaded():
-    # chi2_critical imports scipy.special itself: at module level it would
-    # add tens of milliseconds to every import of the package
+def test_import_leaves_scipy_special_and_stats_unloaded(tmp_path):
+    # chi2_critical imports scipy.special itself, and the graph code
+    # scipy.sparse: at module level they would add tens of milliseconds to
+    # every import of the package, and to every predict run, which builds no
+    # graph
+    model = tmp_path / "model"
+    assert main(["synth", "--n", "30", "--c", "2", "--d", "2",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["fit", "--manifest", str(tmp_path / "manifest.txt"),
+                 "--K", "3", "--loop-max", "2", "--out", str(model)]) == 0
+    predict = (f"from supersetlabel.cli import main; main(['predict', "
+               f"'--model', {str(model)!r}, '--features', "
+               f"{str(tmp_path / 'features.tsv')!r}, '--out', "
+               f"{str(tmp_path / 'pred.csv')!r}])")
     src = str(PACKAGE.parent)
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    loaded = subprocess.run(
-        [sys.executable, "-c", "import sys, supersetlabel; "
-         "print(sorted({'scipy.special', 'scipy.stats'} & set(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert loaded.stdout.strip() == "[]"
+    for code in ("import supersetlabel", predict):
+        loaded = subprocess.run(
+            [sys.executable, "-c", f"import sys; {code}; print(sorted("
+             "{'scipy.sparse', 'scipy.special', 'scipy.stats'} & "
+             "set(sys.modules)))"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert loaded.stdout.splitlines()[-1] == "[]", code
+    assert (tmp_path / "pred.csv").exists()

@@ -84,7 +84,7 @@ def two_node_instance():
     ds = Dataset(features=np.array([[0.0, 0.0], [1.0, 0.0]]),
                  candidates=((1, 2), (1,)), c=2)
     graph = KnnGraph(W=sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                     K=1, theta=1.0)
+                     theta=1.0)
     return graph, encode(ds)
 
 
@@ -103,7 +103,7 @@ class TestPrimal:
         ds = Dataset(features=rng.normal(size=(n, 2)),
                      candidates=((1, 2), (3,), (1, 2, 3), (2,), (1, 3)), c=c)
         codec = encode(ds)
-        graph = KnnGraph(W=sp.csr_matrix((n, n)), K=0, theta=1.0)
+        graph = KnnGraph(W=sp.csr_matrix((n, n)), theta=1.0)
         p = ObjectiveParams(alpha=7.0, beta=0.4)
         want = -p.beta * float(np.sum(codec.Y**2))
         assert primal_objective(codec.Y, graph, codec, p) == pytest.approx(
@@ -139,7 +139,7 @@ class TestAuxM:
     def test_scalar_arithmetic(self):
         # one example, one class, no edges, beta = 0: the gradient is -M
         ds = Dataset(features=np.zeros((1, 1)), candidates=((1,),), c=1)
-        graph = KnnGraph(W=sp.csr_matrix((1, 1)), K=0, theta=1.0)
+        graph = KnnGraph(W=sp.csr_matrix((1, 1)), theta=1.0)
         p = ObjectiveParams(alpha=1.0, beta=0.0)
         M = clamp_change(np.array([[1.0]]), np.array([[5.0]]), 2.0, graph,
                          encode(ds), p)
