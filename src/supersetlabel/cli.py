@@ -235,8 +235,8 @@ def cmd_predict(args) -> int:
                                   f"but {name} has {actual}")
     X = read_features(args.features)
     if X.shape[1] != d:
-        raise DataFormatError(
-            f"test features have {X.shape[1]} dims, model expects {d}")
+        raise DataFormatError(f"{args.features}: test features have "
+                              f"{X.shape[1]} dims, model expects {d}")
     if meta.get("normalize"):  # test rows live where the model's rows do
         X = normalize_unit_length(X, args.features)
     labels, scores = predict_batch(predictor, X)

@@ -91,15 +91,16 @@ def read_features(path, delimiter="\t", what="feature") -> np.ndarray:
     """Read a feature table: one row per non-blank line, floats separated by
     delimiter (a tab by default; onehot.csv is read with commas).
 
-    A ragged row or a non-numeric token (a '#' comment, space-separated
-    columns) is an error naming the file and its 1-based line.
+    A ragged row, a non-numeric token (a '#' comment, space-separated
+    columns) or a NaN or infinite value is an error naming the file and its
+    1-based line.
     """
     lines = Path(path).read_text().splitlines()
     rows = [line for line in lines if line.strip()]
     if not rows:
         raise DataFormatError(f"{path}: no {what} rows")
     try:
-        return np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
+        X = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
         # find the line here: np.loadtxt's row numbers skip blank lines
         width = len(rows[0].split(delimiter))
@@ -116,6 +117,13 @@ def read_features(path, delimiter="\t", what="feature") -> np.ndarray:
                     f"{path}: inconsistent row lengths: {len(tokens)} values "
                     f"on line {line_no}, {width} on the first row")
         raise
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        line_no = [k for k, line in enumerate(lines, start=1)
+                   if line.strip()][bad[0]]
+        raise DataFormatError(
+            f"{path}: non-finite {what} value on line {line_no}")
+    return X
 
 
 def _unreadable_token(line: str, delimiter: str) -> str | None:

@@ -5,14 +5,17 @@ the other; edge weights come from a Gaussian kernel on Euclidean distance.
 The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
 
 `_nearest` is the one neighbor search of the package; the graph, `theta`
-and the test-time vote (inference.py) all rank rows through it. The vote
-also shares the graph's kernel, `gaussian_weight`, and its rule for a
-kernel width, `check_theta`.
+and the test-time vote (inference.py) all rank rows through it. It is an
+exact blockwise scan: a per-row threshold from the minima of column groups
+leaves a few candidates per row, which are ranked by their direct distance.
+The vote also shares the graph's kernel, `gaussian_weight`, and its rule for
+a kernel width, `check_theta`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,7 +25,8 @@ from .dataset import Dataset
 if TYPE_CHECKING:  # imported where a graph is built, so predict never loads it
     import scipy.sparse as sp
 
-# a scanned block holds about this many pairwise distances (512 KiB)
+# a scanned block holds about this many half-distances (512 KiB), plus the
+# padding that fills its last column group
 _BLOCK_ENTRIES = 65536
 
 
@@ -73,40 +77,60 @@ def _nearest(base: np.ndarray, query: np.ndarray, K: int,
     Rows rank by squared Euclidean distance with ties to the lower index, and
     each output row is ordered by (distance, index). With skip_self, query is
     base and row i never lists itself, even when other rows coincide with it.
-    Candidates come from a blockwise scan of |q|^2 - 2 q.x + |x|^2; rows that
-    the scan cannot tell from the K-th nearest within its rounding error are
-    ranked by the direct sum((q - x)^2), and so are the distances returned, so
-    coincident points are exactly 0 apart and d2(i, k) == d2(k, i) bit for bit.
+    Every value must be finite.
+
+    A blockwise scan computes |x|^2/2 - q.x, which is half the squared
+    distance less the row constant |q|^2/2, up to rounding. The columns fall
+    into groups of fixed width. At least K columns scan at or below the K-th
+    smallest group minimum, so that minimum plus twice the rounding error is a
+    per-row threshold t at or below which every base row that can be among
+    the K nearest scans. The candidates are the entries at or below t in the
+    groups whose minimum is at or below t; one lexsort ranks them by the
+    direct sum((q - x)^2), then by index. The distances returned are these
+    direct sums, so coincident points are exactly 0 apart and
+    d2(i, k) == d2(k, i) bit for bit.
     """
     n, m = base.shape[0], query.shape[0]
     block = max(16, _BLOCK_ENTRIES // n)
-    base_sq = np.einsum("ij,ij->i", base, base)
+    # about sqrt(n) columns per group, and at least K + 1 groups, so that K
+    # groups have a finite minimum even where one holds only the skipped self
+    width = max(1, min(isqrt(n), n // (K + 1)))
+    groups = -(-n // width)
+    half_sq = 0.5 * np.einsum("ij,ij->i", base, base)
     query_sq = np.einsum("ij,ij->i", query, query)
-    # at least twice the rounding error of one scanned distance
-    slack = 4.0 * (base.shape[1] + 4) * np.finfo(float).eps * (
-        query_sq + base_sq.max())
+    # at least twice the rounding error of one scanned half-distance
+    slack = 2.0 * (base.shape[1] + 4) * np.finfo(float).eps * (
+        query_sq + 2.0 * half_sq.max())
     idx = np.empty((m, K), dtype=np.intp)
     d2 = np.empty((m, K))
+    # columns past n fill the last group and scan as inf
+    buf = np.full((min(block, m), groups * width), np.inf)
+    group_starts = np.arange(0, groups * width, width)
     for start in range(0, m, block):
         stop = min(start + block, m)
         q = query[start:stop]
-        rows = np.arange(stop - start)
-        scan = q @ base.T
-        scan *= -2.0
-        scan += query_sq[start:stop, None]
-        scan += base_sq
+        scan = buf[:stop - start]
+        real = scan[:, :n]
+        np.matmul(q, base.T, out=real)
+        np.subtract(half_sq, real, out=real)
         if skip_self:
-            scan[rows, start + rows] = np.inf
-        near = np.argpartition(scan, K - 1, axis=1)[:, :K]
-        band = scan <= (scan[rows, near[:, K - 1]] + slack[start:stop])[:, None]
-        for r in np.flatnonzero(np.count_nonzero(band, axis=1) > K):
-            cand = np.flatnonzero(band[r])
-            near[r] = cand[np.argsort(_sq_dist(base[cand], q[r]),
-                                      kind="stable")[:K]]
-        exact = _sq_dist(base[near], q[:, None, :])
-        order = np.lexsort((near, exact), axis=1)
-        idx[start:stop] = np.take_along_axis(near, order, axis=1)
-        d2[start:stop] = np.take_along_axis(exact, order, axis=1)
+            i = np.arange(stop - start)
+            real[i, start + i] = np.inf
+        group_min = np.minimum.reduceat(scan, group_starts, axis=1)
+        t = np.partition(group_min, K - 1, axis=1)[:, K - 1]
+        t += slack[start:stop]
+        r, g = np.nonzero(group_min <= t[:, None])
+        hit, k = np.nonzero(
+            scan.reshape(len(q), groups, width)[r, g] <= t[r, None])
+        rows, cols = r[hit], g[hit] * width + k
+        counts = np.bincount(rows, minlength=len(q))
+        exact = _sq_dist(base.take(cols, axis=0), np.repeat(q, counts, axis=0))
+        # rows ascend, and cols within a row; lexsort is stable, so this orders
+        # each row's candidates by (distance, index)
+        order = np.lexsort((exact, rows))
+        top = order[(np.cumsum(counts) - counts)[:, None] + np.arange(K)]
+        idx[start:stop] = cols[top]
+        d2[start:stop] = exact[top]
     return idx, d2
 
 

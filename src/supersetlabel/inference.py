@@ -39,6 +39,15 @@ class Predictor:
         if len(self.onehot) != len(self.train_features):
             raise ValueError(f"{len(self.onehot)} onehot rows but "
                              f"{len(self.train_features)} train_features rows")
+        _check_finite(self.train_features, "train_features")
+
+
+def _check_finite(X: np.ndarray, what: str) -> None:
+    """Raise a ValueError naming the first row of X with a NaN or infinite
+    value; the neighbor search ranks finite rows only."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite {what} value in row {bad[0] + 1}")
 
 
 def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
@@ -48,8 +57,11 @@ def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
 
 
 def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and score matrix for a batch of test points."""
+    """Labels and score matrix for a batch of test points.
+
+    A row with a NaN or infinite value is a ValueError naming the row."""
     X_t = np.asarray(X_t, dtype=float)
+    _check_finite(X_t, "test feature")
     scores = np.empty((X_t.shape[0], p.onehot.shape[1]))
     K, n = p.K, p.train_features.shape[0]
     if K > n:

@@ -374,6 +374,29 @@ class TestPredict:
         assert_data_error(capsys, f"msg={test}: zero-norm feature row 2")
         assert not pred.exists()
 
+    @pytest.mark.parametrize("row", ["0.5\tnan", "inf\t0"])
+    def test_non_finite_test_row_names_its_line(self, fitted_model, tmp_path,
+                                                capsys, row):
+        test = tmp_path / "test.tsv"
+        test.write_text(f"1\t2\n\n{row}\n")
+        pred = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", str(fitted_model), "--features",
+                       str(test), "--out", str(pred)) == EXIT_DATA
+        assert_data_error(capsys,
+                          f"msg={test}: non-finite feature value on line 3")
+        assert not pred.exists()
+
+    def test_wrong_width_names_the_features_file(self, fitted_model,
+                                                 tmp_path, capsys):
+        test = tmp_path / "test.tsv"
+        test.write_text("1\t2\t3\n")
+        pred = tmp_path / "pred.csv"
+        assert run_cli("predict", "--model", str(fitted_model), "--features",
+                       str(test), "--out", str(pred)) == EXIT_DATA
+        assert_data_error(
+            capsys, f"msg={test}: test features have 3 dims, model expects 2")
+        assert not pred.exists()
+
     def test_model_without_normalize_key_is_unscaled(self, fitted_model,
                                                      synth_dir, tmp_path):
         # a model directory written before fit recorded the key predicts as

@@ -11,6 +11,7 @@ from supersetlabel import (
     build_knn_graph,
     predict,
 )
+from supersetlabel.graph import _nearest
 
 from conftest import brute_knn, lattice, random_symmetric_graph
 
@@ -158,6 +159,39 @@ class TestNeighborRule:
             assert W[3, 150] == 1.0 and W[3, 298] == 1.0
             assert W[150, 298] == 0.0
             assert np.all(np.diag(W) == 0.0)
+
+    # small-integer coordinates, so every squared distance is exact and the
+    # search must return brute_knn's indices and distances bit for bit
+    @pytest.mark.parametrize("layout, n, K", [
+        # index-sorted on a line: a row's neighbours share its column group,
+        # and its two neighbours at each distance tie
+        ("line", 300, 5),
+        # every row ties with every other at distance 0, and at the origin
+        # the scan has no rounding slack
+        ("coincident", 257, 7),
+        # 103 columns do not fill a whole number of groups
+        ("cloud", 103, 4),
+        ("cloud", 40, 39),  # K = n - 1
+        ("cloud", 2, 1),  # n <= K + 2
+        ("cloud", 4, 3),
+        ("cloud", 5, 3),
+    ])
+    def test_nearest_matches_brute_force(self, rng, layout, n, K):
+        if layout == "line":
+            base = np.stack([np.arange(n), np.zeros(n)], axis=1)
+        elif layout == "coincident":
+            base = np.zeros((n, 3))
+        else:
+            base = rng.integers(-6, 7, size=(n, 3)).astype(float)
+        queries = np.vstack([base[::7],
+                             rng.integers(-8, 9, size=(20, base.shape[1]))])
+        cases = [(base, True, K), (queries, False, K), (queries, False, n),
+                 (queries[-1:], False, K)]  # a single query row
+        for query, skip_self, k in cases:
+            idx, d2 = _nearest(base, query, k, skip_self)
+            want_idx, want_d2 = brute_knn(base, query, k, skip_self)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(d2, want_d2)
 
 
 class TestAutoTheta:

@@ -103,6 +103,18 @@ class TestPredict:
         with pytest.raises(ValueError, match="theta"):
             Predictor(np.zeros((2, 1)), np.eye(2), K=1, theta=theta)
 
+    @pytest.mark.parametrize("bad", [[0.5, math.nan], [math.inf, 0.0]])
+    def test_non_finite_test_row(self, bad):
+        # a NaN row scans below no threshold, so it would find no neighbours
+        p = Predictor(np.zeros((3, 2)), np.eye(3), K=2, theta=1.0)
+        with pytest.raises(ValueError, match="non-finite test feature value "
+                                             "in row 2$"):
+            predict_batch(p, [[0.0, 1.0], bad, bad])
+
+    def test_non_finite_train_row(self):
+        with pytest.raises(ValueError, match="train_features value in row 1$"):
+            Predictor(np.array([[math.nan], [0.0]]), np.eye(2), K=1, theta=1.0)
+
 
 class TestNeighborRule:
     @pytest.mark.parametrize("K", [3, 4, 8])
