@@ -4,6 +4,12 @@ Disambiguates ambiguous candidate labels of training examples by solving a
 graph-regularized constrained program (augmented Lagrangian outer loop,
 concave-convex inner solver) and classifies unseen examples by weighted
 nearest-neighbor voting over the disambiguated labels.
+
+The stages are one module each: `dataset` (readers, synthetic sets and
+splits), `graph` (kNN graph, `auto_theta` and the rules for K and theta),
+`labelspace` (candidate encoding), `solver` (the objective, its ALM/CCCP
+solve and `SolverConfig`, its one parameter object), `inference` (the
+vote), `evaluation` and `cli`.
 """
 
 from .dataset import (
@@ -17,13 +23,16 @@ from .evaluation import cross_validate, friedman_test, sweep, training_accuracy
 from .graph import auto_theta, build_knn_graph
 from .inference import Predictor, baseline_ambiguous_knn, predict, predict_batch
 from .labelspace import encode
-from .objective import (
+from .solver import (
     AlmState,
+    SolverConfig,
+    SolverDivergenceError,
+    alm_fit,
     cccp_gradient,
+    cccp_minimize,
     linearized_objective,
     primal_objective,
 )
-from .solver import SolverConfig, SolverDivergenceError, alm_fit, cccp_minimize
 
 __version__ = "0.1.0"
 

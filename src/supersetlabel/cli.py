@@ -234,12 +234,12 @@ def cmd_predict(args) -> int:
             raise DataFormatError(f"{meta_path}: declared {key}={meta[key]} "
                                   f"but {name} has {actual}")
     X = read_features(args.features)
-    if X.shape[1] != d:
-        raise DataFormatError(f"{args.features}: test features have "
-                              f"{X.shape[1]} dims, model expects {d}")
     if meta.get("normalize"):  # test rows live where the model's rows do
         X = normalize_unit_length(X, args.features)
-    labels, scores = predict_batch(predictor, X)
+    try:
+        labels, scores = predict_batch(predictor, X)
+    except ValueError as e:  # its messages name no file
+        raise DataFormatError(f"{args.features}: {e}") from None
     _write_csv(args.out, "index,predicted_label," + ",".join(
         f"score_{j}" for j in range(1, scores.shape[1] + 1)),
         ((i, y, *s) for i, (y, s) in enumerate(zip(labels, scores), start=1)))

@@ -63,7 +63,7 @@ def sweep(ds: Dataset, alphas, betas, Ks, cfg: SolverConfig,
     20% against ground truth. Every point's config is checked before any fit;
     each fold encodes its training subset once and builds one graph per K.
     """
-    points = [replace(cfg, alpha=float(alpha), beta=float(beta), K=int(K))
+    points = [replace(cfg, alpha=float(alpha), beta=float(beta), K=K)
               for alpha in alphas for beta in betas for K in Ks]
     if ds.truth is None:
         raise ValueError("cross validation requires ground-truth labels")

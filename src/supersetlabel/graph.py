@@ -8,8 +8,8 @@ The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
 and the test-time vote (inference.py) all rank rows through it. It is an
 exact blockwise scan: a per-row threshold from the minima of column groups
 leaves a few candidates per row, which are ranked by their direct distance.
-The vote also shares the graph's kernel, `gaussian_weight`, and its rule for
-a kernel width, `check_theta`.
+The vote also shares the graph's kernel, `gaussian_weight`, and its rules for
+a neighbor count and a kernel width, `check_K` and `check_theta`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ class KnnGraph:
     def laplacian_apply(self, F: np.ndarray) -> np.ndarray:
         """L @ F without materializing L."""
         return self.degrees[:, None] * F - self.W @ F
+
+
+def check_K(K: int) -> int:
+    """K, if it is a Python or NumPy integer of at least 1; else a ValueError."""
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValueError(f"K must be an integer, got {K!r}")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    return K
 
 
 def check_theta(theta: float) -> float:
@@ -145,6 +154,7 @@ def auto_theta(ds: Dataset, K: int) -> float:
 
     Falls back to 1.0 when every such distance is zero (coincident points).
     """
+    check_K(K)
     if ds.n < 2:
         raise ValueError("auto_theta needs at least 2 examples")
     _, d2 = _nearest(ds.features, ds.features, min(K, ds.n - 1), skip_self=True)
@@ -162,7 +172,7 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     """
     import scipy.sparse as sp
     n = ds.n
-    if not 1 <= K <= n - 1:
+    if check_K(K) > n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
     nbr_idx, nbr_d2 = _nearest(ds.features, ds.features, K, skip_self=True)
     theta = check_theta(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .graph import _nearest, check_theta, gaussian_weight
+from .graph import _nearest, check_K, check_theta, gaussian_weight
 from .labelspace import encode
 
 _CHUNK = 256  # test points scored together; bounds the scan's working set
@@ -33,8 +33,7 @@ class Predictor:
     theta: float
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be at least 1, got {self.K}")
+        check_K(self.K)
         check_theta(self.theta)
         if len(self.onehot) != len(self.train_features):
             raise ValueError(f"{len(self.onehot)} onehot rows but "
@@ -59,8 +58,15 @@ def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
 def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Labels and score matrix for a batch of test points.
 
-    A row with a NaN or infinite value is a ValueError naming the row."""
+    X_t must be 2-D, one row per point, as wide as the training features. A
+    row with a NaN or infinite value is a ValueError naming the row."""
     X_t = np.asarray(X_t, dtype=float)
+    if X_t.ndim != 2:
+        raise ValueError(f"test features must be a 2-D array, got {X_t.ndim}-D")
+    d = p.train_features.shape[1]
+    if X_t.shape[1] != d:
+        raise ValueError(f"test features have {X_t.shape[1]} dims, "
+                         f"model expects {d}")
     _check_finite(X_t, "test feature")
     scores = np.empty((X_t.shape[0], p.onehot.shape[1]))
     K, n = p.K, p.train_features.shape[0]

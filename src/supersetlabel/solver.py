@@ -1,15 +1,32 @@
-"""ALM outer loop with a CCCP inner solver and block-preconditioned CG.
+"""The RegISL program over the n x c label matrix F, and its solve.
 
-Each outer loop minimizes the augmented Lagrangian over F at fixed
-multipliers (CCCP replaces the concave discrimination term by its tangent at
-the current iterate F_t, which turns the Lagrangian into the convex surrogate
-Lagrangian + beta ||F - F_t||^2, and minimizes that by nonlinear conjugate
-gradients preconditioned with the exact inverse of each row's Hessian block),
-then applies the standard multiplier updates
+The primal problem is
+
+    minimize  tr(F' L F) + alpha ||H . (F - Y)||_F^2 - beta ||F||_F^2
+    s.t.      F 1_c = 1_n,  F >= 0
+
+where "." is the elementwise product. H is 0 wherever Y is nonzero, so
+H . (F - Y) is computed as H . F. alpha, beta and the solve's other knobs
+come from SolverConfig.
+
+The constraints enter through an augmented Lagrangian with a clamped
+multiplier M = max(0, Lambda1 - sigma F) for nonnegativity and a vector
+multiplier Lambda2 plus quadratic penalty for the row sums. Each outer loop
+minimizes it over F at fixed multipliers by CCCP, which replaces the concave
+-beta ||F||_F^2 by its tangent at the current iterate F_t. That turns the
+Lagrangian into the convex surrogate
+
+    linearized_objective(F, F_t) = Lagrangian(F) + beta ||F - F_t||_F^2,
+
+an upper bound that touches the Lagrangian at F = F_t; the Lagrangian itself
+is linearized_objective(F, F). gd_minimize descends the surrogate by
+nonlinear conjugate gradients preconditioned with the exact inverse of each
+row's Hessian block. The outer loop then applies the standard multiplier
+updates
 
     Lambda1 <- max(0, Lambda1 - sigma F)
     Lambda2 <- Lambda2 - sigma (F 1_c - 1_n)
-    sigma   <- min(rho sigma, 1e8)
+    sigma   <- min(rho sigma, SIGMA_CAP)
 
 until successive F iterates stop moving or the loop budget runs out. The
 solved F is read out row-wise by argmax into hard labels.
@@ -22,16 +39,10 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .graph import KnnGraph, check_theta
+from .graph import KnnGraph, check_K, check_theta
 from .labelspace import LabelCodec
-from .objective import (
-    SIGMA_CAP,
-    AlmState,
-    ObjectiveParams,
-    cccp_gradient,
-    linearized_objective,
-)
 
+SIGMA_CAP = 1e8
 _ARMIJO_C = 1e-4
 _Q_FLOOR = 1e-4
 _BACKTRACK = 0.5
@@ -47,10 +58,12 @@ class SolverDivergenceError(RuntimeError):
 class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
-    A gd_grad_tol left as None is resolved at run time to 1e-6 * sqrt(n*c).
-    alm_fit raises sigma0 to the floor 1.01 * 2 beta max_i |S_i|.
-    The inner descent's preconditioner floor, its first-step cap and its
-    line search are fixed constants, not knobs (see gd_minimize).
+    alpha and beta are the nonnegative weights of the fidelity and
+    discrimination terms. A gd_grad_tol left as None is resolved at run time
+    to 1e-6 * sqrt(n*c). alm_fit raises sigma0 to the floor
+    1.01 * 2 beta max_i |S_i|. The inner descent's preconditioner floor, its
+    first-step cap and its line search are fixed constants, not knobs (see
+    gd_minimize).
     """
 
     alpha: float = 1000.0
@@ -67,9 +80,11 @@ class SolverConfig:
     gd_grad_tol: float | None = None
 
     def __post_init__(self):
-        self.params()  # alpha, beta >= 0
-        if self.K < 1:
-            raise ValueError(f"K must be at least 1, got {self.K}")
+        for name in ("alpha", "beta"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name} must be nonnegative, got {getattr(self, name)}")
+        check_K(self.K)
         if self.theta != "auto":
             check_theta(self.theta)
         if self.rho <= 1:
@@ -86,13 +101,84 @@ class SolverConfig:
         if self.gd_grad_tol is not None and not 0 < self.gd_grad_tol < np.inf:
             raise ValueError("gd_grad_tol must be finite and positive")
 
-    def params(self) -> ObjectiveParams:
-        return ObjectiveParams(alpha=self.alpha, beta=self.beta)
-
     def resolved_grad_tol(self, n: int, c: int) -> float:
         if self.gd_grad_tol is not None:
             return self.gd_grad_tol
         return 1e-6 * np.sqrt(n * c)
+
+
+@dataclass
+class AlmState:
+    """Mutable solver state: label matrix, multipliers, and penalty weight."""
+
+    F: np.ndarray
+    lambda1: np.ndarray  # n x c, kept nonnegative by the multiplier update
+    lambda2: np.ndarray  # n-vector for the row-sum constraint
+    sigma: float
+
+    def __post_init__(self):
+        if not 0 < self.sigma <= SIGMA_CAP:
+            raise ValueError(f"sigma must be in (0, {SIGMA_CAP:g}], got {self.sigma}")
+        if np.any(self.lambda1 < 0):
+            raise ValueError("lambda1 must be elementwise nonnegative")
+
+
+def _check_dims(F: np.ndarray, graph: KnnGraph, codec: LabelCodec) -> None:
+    if F.shape != codec.Y.shape:
+        raise ValueError(f"F has shape {F.shape}, expected {codec.Y.shape}")
+    if graph.n != codec.n:
+        raise ValueError(
+            f"graph has {graph.n} nodes but codec encodes {codec.n} examples"
+        )
+
+
+def primal_objective(F: np.ndarray, graph: KnnGraph, codec: LabelCodec,
+                     cfg: SolverConfig) -> float:
+    """Smoothness + fidelity - discrimination, ignoring the constraints."""
+    _check_dims(F, graph, codec)
+    smooth = float(np.sum(F * graph.laplacian_apply(F)))
+    resid = codec.H * F
+    fidelity = cfg.alpha * float(np.sum(resid * resid))
+    discrimination = cfg.beta * float(np.sum(F * F))
+    return smooth + fidelity - discrimination
+
+
+def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
+                         graph: KnnGraph, codec: LabelCodec,
+                         cfg: SolverConfig) -> float:
+    """CCCP surrogate: the Lagrangian at F plus beta ||F - F_t||^2."""
+    primal = primal_objective(F, graph, codec, cfg)  # checks the dimensions
+    step = F - F_t
+    M = np.maximum(0.0, state.lambda1 - state.sigma * F)
+    r = F.sum(axis=1) - 1.0
+    return (
+        primal
+        + cfg.beta * float(np.sum(step * step))
+        + ((np.sum(M * M) - np.sum(state.lambda1 * state.lambda1))
+           / (2.0 * state.sigma)
+           - float(state.lambda2 @ r)
+           + 0.5 * state.sigma * float(r @ r))
+    )
+
+
+def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
+                  graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
+                  LF: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the linearized objective at F.
+
+    The clamped multiplier M is recomputed at the argument F, which makes
+    the nonnegativity penalty differentiable almost everywhere. LF, when
+    given, stands for the product L F, which is then not recomputed.
+    """
+    _check_dims(F, graph, codec)
+    g = graph.laplacian_apply(F) if LF is None else LF.copy()
+    g *= 2.0
+    g += 2.0 * cfg.alpha * codec.H * F
+    g -= np.maximum(0.0, state.lambda1 - state.sigma * F)
+    g -= state.lambda2[:, None]
+    g += state.sigma * (F.sum(axis=1) - 1.0)[:, None]
+    g -= 2.0 * cfg.beta * F_t
+    return g
 
 
 @dataclass
@@ -164,19 +250,19 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
     L F is carried along the steps (L F -= tau L d, with L d the product
     the curvature needs), so an iteration makes one Laplacian apply.
     """
-    p = cfg.params()
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
     tau_cap = 1.0 / _STEP_UNDERFLOW
     sigma = state.sigma
     # the part of q that does not depend on F
-    P_fixed = np.maximum(2.0 * graph.degrees[:, None] + 2.0 * p.alpha * codec.H,
-                         _Q_FLOOR * sigma)
+    P_fixed = np.maximum(
+        2.0 * graph.degrees[:, None] + 2.0 * cfg.alpha * codec.H,
+        _Q_FLOOR * sigma)
     F = F_init.copy()
     LF = graph.laplacian_apply(F)
     trial = 1.0
     z_prev = d_prev = gz_prev = None
     for _ in range(cfg.gd_max_iters):
-        g = cccp_gradient(F, F_init, state, graph, codec, p, LF=LF)
+        g = cccp_gradient(F, F_init, state, graph, codec, cfg, LF=LF)
         if np.sqrt(np.vdot(g, g)) <= grad_tol:
             break
         arg = state.lambda1 - sigma * F
@@ -198,7 +284,7 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
         Ld = graph.laplacian_apply(d)
         row_sums = d.sum(axis=1)
         curv = (2.0 * np.vdot(d, Ld)
-                + 2.0 * p.alpha * np.vdot(codec.H * d, d)
+                + 2.0 * cfg.alpha * np.vdot(codec.H * d, d)
                 + sigma * np.vdot(row_sums, row_sums))
         sigma_d = sigma * d
         tau = min(trial, slope / curv) if curv > 0.0 else trial
@@ -261,16 +347,12 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec,
     """
     if graph.n == 0 or codec.n == 0:
         raise ValueError("cannot fit an empty graph")
-    if graph.n != codec.n:
-        raise ValueError(
-            f"graph has {graph.n} nodes but codec encodes {codec.n} examples"
-        )
+    _check_dims(codec.Y, graph, codec)  # Y is the start F
     max_set = int((codec.Y > 0).sum(axis=1).max())
     floor = _SIGMA_FLOOR_MARGIN * 2.0 * cfg.beta * max_set
     if floor > SIGMA_CAP:
         raise ValueError(f"sigma floor {floor:g} from beta={cfg.beta} and max "
                          f"|S_i|={max_set} exceeds the cap {SIGMA_CAP:g}")
-    p = cfg.params()
     state = AlmState(
         F=codec.Y.copy(),
         lambda1=np.zeros_like(codec.Y),
@@ -285,7 +367,7 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec,
         if not np.all(np.isfinite(F)):
             raise SolverDivergenceError(f"non-finite iterate at loop {loop}")
         sigma_used = state.sigma
-        value = linearized_objective(F, F, state, graph, codec, p)
+        value = linearized_objective(F, F, state, graph, codec, cfg)
         if not np.isfinite(value):
             raise SolverDivergenceError(f"non-finite objective at loop {loop}")
 
@@ -317,8 +399,8 @@ def alm_fit(graph: KnnGraph, codec: LabelCodec,
         labels=labels,
         onehot=onehot,
         trace=trace,
-        rowsum_resid=float(np.max(np.abs(F_star.sum(axis=1) - 1.0))),
-        min_entry=float(F_star.min()),
+        rowsum_resid=trace[-1].rowsum_resid,
+        min_entry=trace[-1].min_entry,
         loops_used=len(trace),
         converged=converged,
     )

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from supersetlabel import (
+    AlmState,
     Dataset,
     SolverConfig,
     alm_fit,
@@ -16,7 +17,6 @@ from supersetlabel import (
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
-from supersetlabel.objective import AlmState, ObjectiveParams
 
 
 def random_symmetric_graph(rng, n, edge_prob=0.6, w_lo=0.1, w_hi=1.0):
@@ -64,7 +64,8 @@ def random_candidates(rng, n, c, ensure_singleton=False):
 
 
 def random_instance(rng, n=None, c=None, ensure_singleton=False):
-    """(graph, codec, params) triple on a random small problem."""
+    """(graph, codec, cfg) triple on a random small problem; cfg draws
+    alpha and beta and keeps the other knobs at their defaults."""
     n = n or int(rng.integers(2, 11))
     c = c or int(rng.integers(2, 5))
     ds = Dataset(
@@ -73,9 +74,9 @@ def random_instance(rng, n=None, c=None, ensure_singleton=False):
         c=c,
     )
     graph = random_symmetric_graph(rng, n)
-    params = ObjectiveParams(alpha=float(rng.uniform(0.5, 20.0)),
-                             beta=float(rng.uniform(0.0, 1.0)))
-    return graph, encode(ds), params
+    cfg = SolverConfig(alpha=float(rng.uniform(0.5, 20.0)),
+                       beta=float(rng.uniform(0.0, 1.0)))
+    return graph, encode(ds), cfg
 
 
 def random_state(rng, n, c):
@@ -128,8 +129,7 @@ def inner_calls(monkeypatch):
 
     def counted_gd(F_init, state, graph, codec, cfg):
         def lagrangian(F):
-            return linearized_objective(F, F, state, graph, codec,
-                                        cfg.params())
+            return linearized_objective(F, F, state, graph, codec, cfg)
 
         call = InnerCall(before=lagrangian(F_init))
         calls.append(call)

@@ -98,11 +98,11 @@ def test_criterion_4_gradient_matches_finite_differences():
     worst = 0.0
     for _ in range(20):
         n, c = int(rng.integers(2, 11)), int(rng.integers(2, 5))
-        graph, codec, p = random_instance(rng, n=n, c=c)
+        graph, codec, cfg = random_instance(rng, n=n, c=c)
         state = random_state(rng, n, c)
         F = rng.normal(size=(n, c))
         F_t = rng.normal(size=(n, c))
-        g = cccp_gradient(F, F_t, state, graph, codec, p)
+        g = cccp_gradient(F, F_t, state, graph, codec, cfg)
         fd = np.zeros_like(F)
         for i in range(n):
             for j in range(c):
@@ -111,8 +111,8 @@ def test_criterion_4_gradient_matches_finite_differences():
                 Fp[i, j] += h
                 Fm[i, j] -= h
                 fd[i, j] = (
-                    linearized_objective(Fp, F_t, state, graph, codec, p)
-                    - linearized_objective(Fm, F_t, state, graph, codec, p)
+                    linearized_objective(Fp, F_t, state, graph, codec, cfg)
+                    - linearized_objective(Fm, F_t, state, graph, codec, cfg)
                 ) / (2.0 * h)
         rel = np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(g))
         worst = max(worst, rel)
@@ -120,7 +120,7 @@ def test_criterion_4_gradient_matches_finite_differences():
     passed(4, f"20 instances, worst relative FD error {worst:.2e} <= 1e-4")
 
 
-def grid_search_minimum(graph, codec, p, step=0.01):
+def grid_search_minimum(graph, codec, cfg, step=0.01):
     """Exhaustive oracle over rows (f, 1-f) with f on a uniform grid."""
     n = codec.n
     W = graph.W.toarray()
@@ -136,8 +136,8 @@ def grid_search_minimum(graph, codec, p, step=0.01):
     for i in range(n):
         for j in np.flatnonzero(codec.H[i]) + 1:
             col = F1[:, i] if j == 1 else F2[:, i]
-            total += p.alpha * col**2
-    total -= p.beta * np.sum(F1**2 + F2**2, axis=1)
+            total += cfg.alpha * col**2
+    total -= cfg.beta * np.sum(F1**2 + F2**2, axis=1)
     return float(total.min())
 
 
@@ -152,9 +152,8 @@ def test_criterion_5_grid_search_oracle():
         codec = encode(ds)
         cfg = SolverConfig()
         report = alm_fit(graph, codec, cfg)
-        p = cfg.params()
-        solved = primal_objective(report.F_star, graph, codec, p)
-        oracle = grid_search_minimum(graph, codec, p)
+        solved = primal_objective(report.F_star, graph, codec, cfg)
+        oracle = grid_search_minimum(graph, codec, cfg)
         gaps.append(solved - oracle)
         assert solved <= oracle + 1e-3
     passed(5, f"10 instances, max primal excess over grid oracle "
@@ -232,7 +231,7 @@ def test_criterion_9_objective_form_equivalence():
     rng = np.random.default_rng(43)
     worst = 0.0
     for _ in range(50):
-        graph, codec, p = random_instance(rng)
+        graph, codec, cfg = random_instance(rng)
         n, c = codec.n, codec.c
         F = rng.normal(size=(n, c))
         W = graph.W.toarray()
@@ -242,12 +241,12 @@ def test_criterion_9_objective_form_equivalence():
             W[i, k] * float(np.sum((F[i] - F[k]) ** 2))
             for i in range(n) for k in range(n)
         )
-        fidelity = p.alpha * sum(
+        fidelity = cfg.alpha * sum(
             (F[i, j - 1] - codec.Y[i, j - 1]) ** 2
             for i in range(n) for j in np.flatnonzero(codec.H[i]) + 1
         )
-        scalar = smooth + fidelity - p.beta * float(np.sum(F**2))
-        matrix = primal_objective(F, graph, codec, p)
+        scalar = smooth + fidelity - cfg.beta * float(np.sum(F**2))
+        matrix = primal_objective(F, graph, codec, cfg)
         rel = abs(matrix - scalar) / max(1.0, abs(scalar))
         worst = max(worst, rel)
         assert rel <= 1e-8

@@ -277,6 +277,8 @@ class TestSweep:
                             lambda *args: fits.append(1) or fit(*args))
         with pytest.raises(ValueError, match="nonnegative"):
             sweep(CV_DS, [10.0, -1.0], [0.01], [3], CV_CFG, seed=5)
+        with pytest.raises(ValueError, match="K must be an integer, got 2.5"):
+            sweep(CV_DS, [10.0], [0.01], [3, 2.5], CV_CFG, seed=5)
         assert fits == []
 
     def test_repeated_value_gets_its_own_row(self):

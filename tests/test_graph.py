@@ -78,8 +78,19 @@ class TestBuildGraph:
         ds = point_dataset([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError):
             build_knn_graph(ds, K=3, theta=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^K must be at least 1, got 0$"):
             build_knn_graph(ds, K=0, theta=1.0)
+
+    @pytest.mark.parametrize("K", [2.5, 2.0, True, "2"])
+    def test_k_must_be_an_integer(self, K):
+        ds = point_dataset([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match="^K must be an integer, got "):
+            build_knn_graph(ds, K=K, theta=1.0)
+
+    def test_numpy_integer_k(self):
+        ds = point_dataset([[0.0], [1.0], [2.0]])
+        assert (build_knn_graph(ds, K=np.int64(1), theta=1.0).W
+                != build_knn_graph(ds, K=1, theta=1.0).W).nnz == 0
 
     def test_duplicates_get_weight_one(self):
         ds = point_dataset([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
@@ -202,6 +213,16 @@ class TestAutoTheta:
     def test_coincident_fallback(self):
         ds = point_dataset([[1.0, 1.0]] * 4)
         assert auto_theta(ds, K=2) == 1.0
+
+    @pytest.mark.parametrize("K, message", [
+        (0, "^K must be at least 1, got 0$"),
+        (-2, "^K must be at least 1, got -2$"),
+        (2.5, "^K must be an integer, got 2.5$"),
+    ])
+    def test_invalid_k(self, K, message):
+        # K = 0 used to average an empty slice, and K = -2 to reach numpy
+        with pytest.raises(ValueError, match=message):
+            auto_theta(point_dataset([[0.0], [2.0], [3.0]]), K)
 
     def test_matches_brute_force(self, rng):
         pts = rng.normal(size=(100, 4))

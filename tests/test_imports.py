@@ -87,3 +87,18 @@ def test_import_leaves_scipy_special_and_stats_unloaded(tmp_path):
             env=env, capture_output=True, text=True, timeout=120, check=True)
         assert loaded.stdout.splitlines()[-1] == "[]", code
     assert (tmp_path / "pred.csv").exists()
+
+
+def test_every_name_the_benchmark_traces_resolves(monkeypatch):
+    # the benchmark's tracer patches package names from outside; one it
+    # cannot find goes to `missing` without an error, and the per-layer
+    # metrics that read it drop to 0
+    monkeypatch.syspath_prepend(str(PACKAGE.parents[1] / "perfbench"))
+    from pipeline import install
+    from tracing import Tracer
+    tracer = Tracer()
+    install(tracer, supersetlabel)
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.restore()

@@ -111,6 +111,24 @@ class TestPredict:
                                              "in row 2$"):
             predict_batch(p, [[0.0, 1.0], bad, bad])
 
+    def test_wrong_width_names_both_widths(self):
+        p = Predictor(np.zeros((3, 2)), np.eye(3), K=2, theta=1.0)
+        with pytest.raises(ValueError, match="^test features have 3 dims, "
+                                             "model expects 2$"):
+            predict_batch(p, np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("X", [[0.0, 1.0], 0.0, np.zeros((1, 1, 2))],
+                             ids=["1-D", "0-D", "3-D"])
+    def test_input_must_be_2d(self, X):
+        p = Predictor(np.zeros((3, 2)), np.eye(3), K=2, theta=1.0)
+        with pytest.raises(ValueError, match="must be a 2-D array"):
+            predict_batch(p, X)
+
+    @pytest.mark.parametrize("K", [3.5, 3.0, True])
+    def test_k_must_be_an_integer(self, K):
+        with pytest.raises(ValueError, match="^K must be an integer, got "):
+            Predictor(np.zeros((3, 2)), np.eye(3), K=K, theta=1.0)
+
     def test_non_finite_train_row(self):
         with pytest.raises(ValueError, match="train_features value in row 1$"):
             Predictor(np.array([[math.nan], [0.0]]), np.eye(2), K=1, theta=1.0)

@@ -19,8 +19,7 @@ from supersetlabel import (
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
-from supersetlabel.objective import SIGMA_CAP
-from supersetlabel.solver import gd_minimize
+from supersetlabel.solver import SIGMA_CAP, gd_minimize
 
 from conftest import (
     fit_random_instances,
@@ -204,7 +203,7 @@ class TestSigmaFloor:
                 rays.append(D)
             for D in rays:
                 L0, L1, L2 = (linearized_objective(t * D, t * D, state, graph,
-                                                   codec, cfg.params())
+                                                   codec, cfg)
                               for t in (0.0, 1.0, 2.0))
                 assert L2 - 2.0 * L1 + L0 >= -1e-9 * (1.0 + abs(L2))
 
@@ -215,7 +214,7 @@ class TestSigmaFloor:
                          lambda2=np.zeros(len(D)), sigma=sigma)
         L0, L1, L2 = (linearized_objective(
             t * D, t * D, state, edgeless_graph(len(D)), codec,
-            SolverConfig(alpha=alpha, beta=beta).params())
+            SolverConfig(alpha=alpha, beta=beta))
             for t in (0.0, 1.0, 2.0))
         return (L2 - 2.0 * L1 + L0) / 2.0
 
@@ -362,7 +361,7 @@ class TestGd:
         graph = edgeless_graph(3)
         cfg = SolverConfig(alpha=3.0, beta=0.0, gd_grad_tol=1e-10)
         out = solver_module.gd_minimize(F, state, graph, codec, cfg)
-        g = cccp_gradient(out, F, state, graph, codec, cfg.params())
+        g = cccp_gradient(out, F, state, graph, codec, cfg)
         assert np.linalg.norm(g) <= 1e-10
         assert inner_calls[0].grads <= 7
 
@@ -427,7 +426,7 @@ class TestGd:
             if np.array_equal(iterates[-1], final):
                 break
         values = [linearized_objective(F, F_t, state, graph, codec,
-                                       cfg.params()) for F in iterates]
+                                       cfg) for F in iterates]
         assert len(values) > 2
         assert all(b <= a for a, b in zip(values, values[1:]))
 
@@ -445,7 +444,7 @@ class TestGd:
                          lambda2=rng.normal(size=n), sigma=2.0)
         cfg = SolverConfig(alpha=5.0, beta=0.2)
         out = gd_minimize(state.F.copy(), state, graph, codec, cfg)
-        g = cccp_gradient(out, state.F, state, graph, codec, cfg.params())
+        g = cccp_gradient(out, state.F, state, graph, codec, cfg)
         assert np.linalg.norm(g) <= cfg.resolved_grad_tol(n, c)
 
 
@@ -466,6 +465,18 @@ class TestConfig:
             with pytest.raises(ValueError, match="sigma0 must be in"):
                 SolverConfig(sigma0=bad)
         SolverConfig(sigma0=SIGMA_CAP)
+
+    @pytest.mark.parametrize("K, message", [
+        (0, "^K must be at least 1, got 0$"),
+        (2.5, "^K must be an integer, got 2.5$"),
+        (True, "^K must be an integer, got True$"),
+    ])
+    def test_invalid_K(self, K, message):
+        with pytest.raises(ValueError, match=message):
+            SolverConfig(K=K)
+
+    def test_numpy_integer_K(self):
+        assert SolverConfig(K=np.int32(3)).K == 3
 
     @pytest.mark.parametrize("name", ["t_max", "loop_max", "gd_max_iters"])
     def test_loop_budgets_at_least_one(self, name):
