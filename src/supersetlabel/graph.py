@@ -8,8 +8,8 @@ The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
 and the test-time vote (inference.py) all rank rows through it. It is an
 exact blockwise scan: a per-row threshold from the minima of column groups
 leaves a few candidates per row, which are ranked by their direct distance.
-The vote also shares the graph's kernel, `gaussian_weight`, and its rules for
-a neighbor count and a kernel width, `check_K` and `check_theta`.
+The vote also shares the graph's kernel, `gaussian_weight`, and the package's
+rules for counts and finite positive values: `check_count`, `check_positive`.
 """
 
 from __future__ import annotations
@@ -52,20 +52,20 @@ class KnnGraph:
         return self.degrees[:, None] * F - self.W @ F
 
 
-def check_K(K: int) -> int:
-    """K, if it is a Python or NumPy integer of at least 1; else a ValueError."""
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        raise ValueError(f"K must be an integer, got {K!r}")
-    if K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
-    return K
+def check_count(value: int, name: str) -> int:
+    """value, if an integer (NumPy's too) of at least 1; else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
 
 
-def check_theta(theta: float) -> float:
-    """theta, if it is a finite positive kernel width; else a ValueError."""
-    if not 0 < theta < np.inf:
-        raise ValueError(f"theta must be finite and positive, got {theta}")
-    return theta
+def check_positive(value: float, name: str) -> float:
+    """value, if it is finite and positive (NaN is not); else a ValueError."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 def gaussian_weight(d2: np.ndarray, theta: float) -> np.ndarray:
@@ -154,7 +154,7 @@ def auto_theta(ds: Dataset, K: int) -> float:
 
     Falls back to 1.0 when every such distance is zero (coincident points).
     """
-    check_K(K)
+    check_count(K, "K")
     if ds.n < 2:
         raise ValueError("auto_theta needs at least 2 examples")
     _, d2 = _nearest(ds.features, ds.features, min(K, ds.n - 1), skip_self=True)
@@ -172,11 +172,11 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     """
     import scipy.sparse as sp
     n = ds.n
-    if check_K(K) > n - 1:
+    if check_count(K, "K") > n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
     nbr_idx, nbr_d2 = _nearest(ds.features, ds.features, K, skip_self=True)
-    theta = check_theta(
-        _mean_distance(nbr_d2) if theta == "auto" else float(theta))
+    theta = check_positive(
+        _mean_distance(nbr_d2) if theta == "auto" else float(theta), "theta")
     w = gaussian_weight(nbr_d2, theta)
     W = sp.csr_matrix((w.ravel(), nbr_idx.ravel(), np.arange(0, n * K + 1, K)),
                       shape=(n, n))

@@ -39,7 +39,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .graph import KnnGraph, check_K, check_theta
+from .graph import KnnGraph, check_count, check_positive
 from .labelspace import LabelCodec
 
 SIGMA_CAP = 1e8
@@ -58,12 +58,13 @@ class SolverDivergenceError(RuntimeError):
 class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
-    alpha and beta are the nonnegative weights of the fidelity and
-    discrimination terms. A gd_grad_tol left as None is resolved at run time
-    to 1e-6 * sqrt(n*c). alm_fit raises sigma0 to the floor
-    1.01 * 2 beta max_i |S_i|. The inner descent's preconditioner floor, its
-    first-step cap and its line search are fixed constants, not knobs (see
-    gd_minimize).
+    alpha and beta are finite and nonnegative, rho is finite and above 1,
+    and sigma0 is in (0, SIGMA_CAP]; alm_fit raises sigma0 to the floor
+    1.01 * 2 beta max_i |S_i|. K and the loop budgets obey graph.check_count,
+    and theta, eps0, eps1 and gd_grad_tol (unless "auto" or None) obey
+    graph.check_positive. A gd_grad_tol of None is resolved at run time to
+    1e-6 * sqrt(n*c). The inner descent's preconditioner floor, its first-step
+    cap and its line search are fixed constants, not knobs (see gd_minimize).
     """
 
     alpha: float = 1000.0
@@ -80,26 +81,21 @@ class SolverConfig:
     gd_grad_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if getattr(self, name) < 0:
-                raise ValueError(
-                    f"{name} must be nonnegative, got {getattr(self, name)}")
-        check_K(self.K)
-        if self.theta != "auto":
-            check_theta(self.theta)
-        if self.rho <= 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
+        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
+            if not 0 <= value < np.inf:
+                rule = "nonnegative" if value < 0 else "finite"
+                raise ValueError(f"{name} must be {rule}, got {value}")
+        if not 1 < self.rho < np.inf:
+            raise ValueError(f"rho must be finite and above 1, got {self.rho}")
         if not 0 < self.sigma0 <= SIGMA_CAP:
             raise ValueError(
                 f"sigma0 must be in (0, {SIGMA_CAP:g}], got {self.sigma0}")
-        for name in ("t_max", "loop_max", "gd_max_iters"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("eps0", "eps1"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.gd_grad_tol is not None and not 0 < self.gd_grad_tol < np.inf:
-            raise ValueError("gd_grad_tol must be finite and positive")
+        for name in ("K", "t_max", "loop_max", "gd_max_iters"):
+            check_count(getattr(self, name), name)
+        for name in ("theta", "eps0", "eps1", "gd_grad_tol"):
+            value = getattr(self, name)
+            if (name, value) not in (("theta", "auto"), ("gd_grad_tol", None)):
+                check_positive(value, name)
 
     def resolved_grad_tol(self, n: int, c: int) -> float:
         if self.gd_grad_tol is not None:

@@ -544,7 +544,9 @@ class TestSweep:
          "key 'alpha': alpha must be nonnegative, got -1.0"),
         (["--alpha", "5"], "beta=-2",
          "key 'beta': beta must be nonnegative, got -2.0"),
-    ], ids=["alpha", "beta"])
+        (["--alpha", "5"], "beta=nan",
+         "key 'beta': beta must be finite, got nan"),
+    ], ids=["alpha", "beta", "beta_nan"])
     def test_grid_error_names_only_the_bad_value(self, synth_dir, tmp_path,
                                                  capsys, flags, line, message):
         grid = tmp_path / "grid.txt"
@@ -552,7 +554,10 @@ class TestSweep:
         assert run_cli("sweep", "--manifest", str(synth_dir / "manifest.txt"),
                        "--grid", str(grid), *flags,
                        "--out", str(tmp_path / "sweep")) == EXIT_DATA
-        assert capsys.readouterr().err.endswith(message + "\n")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: code=DATA msg={grid}: ")
+        assert err.endswith(message + "\n")
+        assert not (tmp_path / "sweep").exists()  # rejected before any work
 
     @pytest.mark.parametrize("command", ["cv", "sweep"])
     def test_needs_truth(self, synth_dir, tmp_path, capsys, command):
@@ -704,6 +709,9 @@ class TestConfigHandling:
         pytest.param(["--K", "0"], "K", id="K"),
         pytest.param(["--theta", "0"], "theta", id="theta"),
         pytest.param("theta=inf", "theta", id="theta_config"),
+        pytest.param(["--alpha", "nan"], "alpha", id="alpha_nan"),
+        pytest.param(["--rho", "nan"], "rho", id="rho_nan"),
+        pytest.param(["--eps1", "inf"], "eps1", id="eps1_inf"),
     ])
     def test_invalid_solver_value_is_usage_error(self, synth_dir, tmp_path,
                                                  capsys, bad, name):

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -480,9 +480,32 @@ class TestConfig:
 
     @pytest.mark.parametrize("name", ["t_max", "loop_max", "gd_max_iters"])
     def test_loop_budgets_at_least_one(self, name):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be at least 1, got 0$"):
             SolverConfig(**{name: 0})
         SolverConfig(**{name: 1})
+        assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
+
+    # a field is an integer when its default is, as the CLI reads it; every
+    # other field (theta defaults to "auto", gd_grad_tol to None) is a float
+    INT_FIELDS = [f.name for f in fields(SolverConfig)
+                  if type(f.default) is int]
+    FLOAT_FIELDS = [f.name for f in fields(SolverConfig)
+                    if type(f.default) is not int]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_float_field_must_be_finite(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be .*, got {value}$"):
+            SolverConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", INT_FIELDS)
+    def test_int_field_must_be_an_integer(self, name, value):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got {value}$"):
+            SolverConfig(**{name: value})
 
     def test_resolved_grad_tol_scaling(self):
         cfg = SolverConfig()
