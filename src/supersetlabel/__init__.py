@@ -5,8 +5,8 @@ graph-regularized constrained program (augmented Lagrangian outer loop,
 concave-convex inner solver) and classifies unseen examples by weighted
 nearest-neighbor voting over the disambiguated labels.
 
-The stages are one module each: `dataset` (readers, synthetic sets and
-splits), `graph` (kNN graph, `auto_theta` and the rules for K and theta),
+The stages are one module each: `dataset` (readers, synthetic sets,
+splits and the rules for every setting), `graph` (kNN graph, `auto_theta`),
 `labelspace` (candidate encoding), `solver` (the objective, its ALM/CCCP
 solve and `SolverConfig`, its one parameter object), `inference` (the
 vote), `evaluation` and `cli`.

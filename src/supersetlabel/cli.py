@@ -20,6 +20,7 @@ import numpy as np
 from .dataset import (
     DataFormatError,
     Dataset,
+    check_declared,
     load_dataset,
     load_manifest,
     make_synthetic,
@@ -226,13 +227,9 @@ def cmd_predict(args) -> int:
     onehot = read_features(model_dir / "onehot.csv", ",", "onehot")
     train_features = read_features(model_dir / "model_features.tsv")
     predictor = Predictor(train_features, onehot, meta["K"], meta["theta"])
-    n, d = train_features.shape
-    for key, name, actual in (("n", "model_features.tsv", n),
-                              ("d", "model_features.tsv", d),
-                              ("c", "onehot.csv", onehot.shape[1])):
-        if key in meta and meta[key] != actual:
-            raise DataFormatError(f"{meta_path}: declared {key}={meta[key]} "
-                                  f"but {name} has {actual}")
+    check_declared(meta_path, meta, "nd", "model_features.tsv",
+                   train_features.shape)
+    check_declared(meta_path, meta, "c", "onehot.csv", onehot.shape[1:])
     X = read_features(args.features)
     if meta.get("normalize"):  # test rows live where the model's rows do
         X = normalize_unit_length(X, args.features)

@@ -1,4 +1,4 @@
-"""Data model, file IO, synthetic data generation, and stratified split planning.
+"""The package's data model, file IO, synthetic data, splits and input rules.
 
 A superset-label dataset holds n feature rows, one candidate label set per
 row, and (optionally) the ground-truth label of every row. Labels are 1-based
@@ -20,6 +20,49 @@ class DataFormatError(ValueError):
     """Raised when an input file or constructed dataset is inconsistent."""
 
 
+def check_count(value: int, name: str, least: int = 1) -> int:
+    """value, if an integer (NumPy's too) >= least; else a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
+
+
+def check_real(value: float, name: str) -> float:
+    """value, if a real number (NumPy's too) and not a bool; else a ValueError."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return value
+
+
+def check_positive(value: float, name: str) -> float:
+    """value, if a finite and positive real number; else a ValueError."""
+    if not 0 < check_real(value, name) < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def check_finite_rows(X, what: str) -> np.ndarray:
+    """X as a float array if 2-D and finite; else a DataFormatError naming why."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise DataFormatError(f"{what} rows must be a 2-D array, got {X.ndim}-D")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"non-finite {what} value in row {bad[0] + 1}")
+    return X
+
+
+def check_declared(path, declared: dict, keys: str, source: str, shape) -> None:
+    """A DataFormatError if path declares keys[i] other than source's shape[i]."""
+    for key, value in zip(keys, shape):
+        if key in declared and declared[key] != value:
+            raise DataFormatError(f"{path}: declared {key}={declared[key]} "
+                                  f"but {source} has {value}")
+
+
 @dataclass
 class Dataset:
     """Ambiguously labeled training data.
@@ -36,20 +79,14 @@ class Dataset:
     truth: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        """Normalize the containers, then check every invariant; raise
-        DataFormatError on a violation."""
-        self.features = np.asarray(self.features, dtype=float)
-        if self.features.ndim != 2:
-            raise DataFormatError("features must be a 2-D array")
+        """Normalize the containers, then check every invariant: c by
+        check_count, the rest by a DataFormatError on a violation."""
+        self.features = check_finite_rows(self.features, "feature")
         self.candidates = tuple(tuple(sorted(set(s))) for s in self.candidates)
-        if self.c < 1:
-            raise DataFormatError("class count c must be positive")
+        check_count(self.c, "c")
         if len(self.candidates) != self.n:
             raise DataFormatError(
                 f"{self.n} feature rows but {len(self.candidates)} candidate sets")
-        if not np.all(np.isfinite(self.features)):
-            bad = int(np.argwhere(~np.isfinite(self.features).all(axis=1))[0][0])
-            raise DataFormatError(f"non-finite feature value in row {bad + 1}")
         for i, s in enumerate(self.candidates):
             if len(s) == 0:
                 raise DataFormatError(f"empty candidate set at row {i + 1}")
@@ -282,10 +319,7 @@ def load_manifest(manifest_path) -> Dataset:
     ds = load_dataset(base / kv["features"], base / kv["candidates"],
                       base / kv["truth"] if "truth" in kv else None,
                       kv.get("c"))
-    for key, actual in (("n", ds.n), ("d", ds.d)):
-        if key in kv and kv[key] != actual:
-            raise DataFormatError(f"{manifest_path}: declared {key}={kv[key]} "
-                                  f"but data has {actual}")
+    check_declared(manifest_path, kv, "nd", "data", ds.features.shape)
     return ds
 
 
@@ -305,16 +339,14 @@ def make_synthetic(n: int, c: int, d: int, sep: float, p_coocc: float,
     Class means are pairwise at least sep apart (spread of each blob is the
     unit Gaussian). Every example carries its true label; with probability
     p_coocc it also receives r_extra distinct false labels drawn uniformly
-    from the remaining classes.
+    from the remaining classes. n, c and d are counts (check_count), c >= 2.
     """
-    if c < 2:
-        raise ValueError("need at least 2 classes")
+    for name, size, least in (("n", n, 1), ("c", c, 2), ("d", d, 1)):
+        check_count(size, name, least)
     if not 0 <= r_extra <= c - 1:
         raise ValueError(f"r_extra must be in 0..{c - 1}, got {r_extra}")
     if not 0.0 <= p_coocc <= 1.0:
         raise ValueError(f"p_coocc must be a probability, got {p_coocc}")
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
 
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((c, d))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import N_FOLDS, Dataset, plan_splits
+from .dataset import N_FOLDS, Dataset, check_count, check_finite_rows, plan_splits
 from .graph import build_knn_graph
 from .inference import Predictor, predict_batch
 from .labelspace import encode
@@ -65,8 +65,6 @@ def sweep(ds: Dataset, alphas, betas, Ks, cfg: SolverConfig,
     """
     points = [replace(cfg, alpha=float(alpha), beta=float(beta), K=K)
               for alpha in alphas for beta in betas for K in Ks]
-    if ds.truth is None:
-        raise ValueError("cross validation requires ground-truth labels")
     plan = plan_splits(ds, seed)
     accs = [([], []) for _ in points]  # per point: train and test, by fold
     for fold in range(1, N_FOLDS + 1):
@@ -96,8 +94,7 @@ def chi2_critical(confidence: float, df: int) -> float:
     """Upper-tail chi-square critical value at the given confidence."""
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if df < 1:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    check_count(df, "degrees of freedom")
     # imported here: at module level, scipy.special would add tens of
     # milliseconds to every `import supersetlabel`, for this one call
     from scipy.special import chdtri
@@ -125,11 +122,9 @@ def friedman_test(accuracy_table, confidence: float = 0.90) -> FriedmanResult:
     the chi-square critical value at k-1 degrees of freedom. A method's flag
     is set when the test rejects and its mean rank trails the best one.
     """
-    table = np.asarray(accuracy_table, dtype=float)
-    if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
+    table = check_finite_rows(accuracy_table, "accuracy")
+    if table.shape[0] < 2 or table.shape[1] < 2:
         raise ValueError("need at least 2 methods and 2 datasets")
-    if not np.all(np.isfinite(table)):
-        raise ValueError("accuracy table has a non-finite value")
     k, n_datasets = table.shape
     # per column: 1 + the values above, plus half of the other tied values
     above = (table[None] > table[:, None]).sum(axis=1)

@@ -8,8 +8,8 @@ The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
 and the test-time vote (inference.py) all rank rows through it. It is an
 exact blockwise scan: a per-row threshold from the minima of column groups
 leaves a few candidates per row, which are ranked by their direct distance.
-The vote also shares the graph's kernel, `gaussian_weight`, and the package's
-rules for counts and finite positive values: `check_count`, `check_positive`.
+The vote also shares the graph's kernel, `gaussian_weight`. K and theta are
+checked by the package's rules in dataset.py.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, check_count, check_positive
 
 if TYPE_CHECKING:  # imported where a graph is built, so predict never loads it
     import scipy.sparse as sp
@@ -50,22 +50,6 @@ class KnnGraph:
     def laplacian_apply(self, F: np.ndarray) -> np.ndarray:
         """L @ F without materializing L."""
         return self.degrees[:, None] * F - self.W @ F
-
-
-def check_count(value: int, name: str) -> int:
-    """value, if an integer (NumPy's too) of at least 1; else a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value}")
-    return value
-
-
-def check_positive(value: float, name: str) -> float:
-    """value, if it is finite and positive (NaN is not); else a ValueError."""
-    if not 0 < value < np.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-    return value
 
 
 def gaussian_weight(d2: np.ndarray, theta: float) -> np.ndarray:
@@ -175,8 +159,8 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     if check_count(K, "K") > n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
     nbr_idx, nbr_d2 = _nearest(ds.features, ds.features, K, skip_self=True)
-    theta = check_positive(
-        _mean_distance(nbr_d2) if theta == "auto" else float(theta), "theta")
+    theta = float(check_positive(
+        _mean_distance(nbr_d2) if theta == "auto" else theta, "theta"))
     w = gaussian_weight(nbr_d2, theta)
     W = sp.csr_matrix((w.ravel(), nbr_idx.ravel(), np.arange(0, n * K + 1, K)),
                       shape=(n, n))

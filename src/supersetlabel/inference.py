@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .graph import _nearest, check_count, check_positive, gaussian_weight
+from .dataset import Dataset, check_count, check_finite_rows, check_positive
+from .graph import _nearest, gaussian_weight
 from .labelspace import encode
 
 # test points voted together: bounds the vote's idx, d2 and onehot[idx] arrays
@@ -41,15 +41,7 @@ class Predictor:
         if len(self.onehot) != len(self.train_features):
             raise ValueError(f"{len(self.onehot)} onehot rows but "
                              f"{len(self.train_features)} train_features rows")
-        _check_finite(self.train_features, "train_features")
-
-
-def _check_finite(X: np.ndarray, what: str) -> None:
-    """Raise a ValueError naming the first row of X with a NaN or infinite
-    value; the neighbor search ranks finite rows only."""
-    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-    if bad.size:
-        raise ValueError(f"non-finite {what} value in row {bad[0] + 1}")
+        self.train_features = check_finite_rows(self.train_features, "train_features")
 
 
 def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
@@ -63,14 +55,11 @@ def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     X_t must be 2-D, one row per point, as wide as the training features. A
     row with a NaN or infinite value is a ValueError naming the row."""
-    X_t = np.asarray(X_t, dtype=float)
-    if X_t.ndim != 2:
-        raise ValueError(f"test features must be a 2-D array, got {X_t.ndim}-D")
+    X_t = check_finite_rows(X_t, "test feature")
     d = p.train_features.shape[1]
     if X_t.shape[1] != d:
         raise ValueError(f"test features have {X_t.shape[1]} dims, "
                          f"model expects {d}")
-    _check_finite(X_t, "test feature")
     scores = np.empty((X_t.shape[0], p.onehot.shape[1]))
     K, n = p.K, p.train_features.shape[0]
     if K > n:

@@ -39,7 +39,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .graph import KnnGraph, check_count, check_positive
+from .dataset import check_count, check_positive, check_real
+from .graph import KnnGraph
 from .labelspace import LabelCodec
 
 SIGMA_CAP = 1e8
@@ -58,13 +59,13 @@ class SolverDivergenceError(RuntimeError):
 class SolverConfig:
     """Knobs of the solve; defaults follow the reference parameterization.
 
-    alpha and beta are finite and nonnegative, rho is finite and above 1,
-    and sigma0 is in (0, SIGMA_CAP]; alm_fit raises sigma0 to the floor
-    1.01 * 2 beta max_i |S_i|. K and the loop budgets obey graph.check_count,
-    and theta, eps0, eps1 and gd_grad_tol (unless "auto" or None) obey
-    graph.check_positive. A gd_grad_tol of None is resolved at run time to
-    1e-6 * sqrt(n*c). The inner descent's preconditioner floor, its first-step
-    cap and its line search are fixed constants, not knobs (see gd_minimize).
+    Each field is checked by a rule of dataset.py: check_count for K and the
+    loop budgets, check_positive for theta, eps0, eps1 and gd_grad_tol (unless
+    "auto" or None), and check_real for alpha and beta (finite, nonnegative),
+    rho (finite, above 1) and sigma0 (in (0, SIGMA_CAP]; alm_fit raises it to
+    1.01 * 2 beta max_i |S_i|). A gd_grad_tol of None means 1e-6 * sqrt(n*c).
+    The inner descent's preconditioner floor, first-step cap and line search
+    are fixed constants, not knobs (see gd_minimize).
     """
 
     alpha: float = 1000.0
@@ -82,12 +83,12 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not 0 <= value < np.inf:
+            if not 0 <= check_real(value, name) < np.inf:
                 rule = "nonnegative" if value < 0 else "finite"
                 raise ValueError(f"{name} must be {rule}, got {value}")
-        if not 1 < self.rho < np.inf:
+        if not 1 < check_real(self.rho, "rho") < np.inf:
             raise ValueError(f"rho must be finite and above 1, got {self.rho}")
-        if not 0 < self.sigma0 <= SIGMA_CAP:
+        if not 0 < check_real(self.sigma0, "sigma0") <= SIGMA_CAP:
             raise ValueError(
                 f"sigma0 must be in (0, {SIGMA_CAP:g}], got {self.sigma0}")
         for name in ("K", "t_max", "loop_max", "gd_max_iters"):

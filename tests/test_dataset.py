@@ -122,7 +122,8 @@ class TestLoad:
         paths = save_dataset(ds, tmp_path)
         manifest = paths["manifest"].read_text().replace("n=8", "n=9")
         paths["manifest"].write_text(manifest)
-        with pytest.raises(DataFormatError, match="declared n=9"):
+        with pytest.raises(DataFormatError,
+                           match="declared n=9 but data has 8$"):
             load_manifest(paths["manifest"])
 
     def test_manifest_line_without_equals(self, tmp_path):
@@ -155,9 +156,19 @@ class TestInvariants:
             Dataset(features=np.zeros((1, 2)), candidates=((3,),), c=2)
 
     def test_nan_features(self):
-        with pytest.raises(DataFormatError, match="non-finite"):
-            Dataset(features=np.array([[np.nan, 0.0]]), candidates=((1,),),
-                    c=1)
+        with pytest.raises(DataFormatError,
+                           match="^non-finite feature value in row 2$"):
+            Dataset(features=np.array([[0.0, 0.0], [np.nan, 0.0]]),
+                    candidates=((1,), (1,)), c=1)
+
+    @pytest.mark.parametrize("c, message", [
+        (2.5, "^c must be an integer, got 2.5$"),
+        (True, "^c must be an integer, got True$"),
+        (0, "^c must be at least 1, got 0$"),
+    ], ids=["float", "bool", "zero"])
+    def test_c_is_a_count(self, c, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features=np.zeros((1, 2)), candidates=((1,),), c=c)
 
     def test_truth_must_be_candidate(self):
         with pytest.raises(DataFormatError, match="row 1"):
@@ -216,6 +227,19 @@ class TestSynthetic:
         ds = make_synthetic(n=200, c=4, d=3, sep=1.0, p_coocc=0.8, r_extra=3,
                             seed=9)
         assert all(y in s for y, s in zip(ds.truth, ds.candidates))
+
+    @pytest.mark.parametrize("size, message", [
+        (dict(n=60.0), "^n must be an integer, got 60.0$"),
+        (dict(c=3.0), "^c must be an integer, got 3.0$"),
+        (dict(d=2.5), "^d must be an integer, got 2.5$"),
+        (dict(n=True), "^n must be an integer, got True$"),
+        (dict(d=0), "^d must be at least 1, got 0$"),
+        (dict(c=1, r_extra=0), "^c must be at least 2, got 1$"),
+    ], ids=["n-float", "c-float", "d-float", "n-bool", "d-zero", "c-one"])
+    def test_sizes_are_counts(self, size, message):
+        with pytest.raises(ValueError, match=message):
+            make_synthetic(**{**dict(n=60, c=3, d=2, sep=2.0, p_coocc=0.5,
+                                     r_extra=1, seed=0), **size})
 
     def test_r_extra_too_large(self):
         with pytest.raises(ValueError, match="r_extra"):

@@ -81,7 +81,7 @@ class TestCrossValidate:
                             seed=1)
         stripped = type(ds)(features=ds.features, candidates=ds.candidates,
                             c=ds.c, truth=None)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truth"):
             cross_validate(stripped, CV_CFG, seed=0)
 
     def test_fold_error_annotated(self):
@@ -124,7 +124,8 @@ class TestRanking:
             np.testing.assert_allclose(got, want)
 
     def test_non_finite_accuracy(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError,
+                           match="^non-finite accuracy value in row 1$"):
             friedman_test([[0.9, np.nan], [0.8, 0.7]])
 
 

@@ -57,6 +57,11 @@ class TestGaussianWeight:
         with pytest.raises(ValueError, match="theta"):
             build_knn_graph(point_dataset([[0.0], [1.0]]), K=1, theta=theta)
 
+    @pytest.mark.parametrize("theta", [True, np.True_])
+    def test_bool_theta(self, theta):
+        with pytest.raises(ValueError, match="^theta must be a real number, "):
+            build_knn_graph(point_dataset([[0.0], [1.0]]), K=1, theta=theta)
+
 
 class TestBuildGraph:
     def test_collinear_or_rule(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from supersetlabel import (
+    DataFormatError,
     Dataset,
     Predictor,
     baseline_ambiguous_knn,
@@ -130,8 +131,16 @@ class TestPredict:
             Predictor(np.zeros((3, 2)), np.eye(3), K=K, theta=1.0)
 
     def test_non_finite_train_row(self):
-        with pytest.raises(ValueError, match="train_features value in row 1$"):
-            Predictor(np.array([[math.nan], [0.0]]), np.eye(2), K=1, theta=1.0)
+        with pytest.raises(DataFormatError, match="^non-finite train_features "
+                                                  "value in row 2$"):
+            Predictor(np.array([[0.0], [math.inf], [math.nan]]), np.eye(3),
+                      K=1, theta=1.0)
+
+    @pytest.mark.parametrize("theta", [True, np.True_])
+    def test_theta_must_not_be_a_bool(self, theta):
+        with pytest.raises(ValueError, match="^theta must be a real number, "
+                                             "got "):
+            Predictor(np.zeros((2, 1)), np.eye(2), K=1, theta=theta)
 
 
 class TestNeighborRule:

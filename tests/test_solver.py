@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -493,11 +494,13 @@ class TestConfig:
     FLOAT_FIELDS = [f.name for f in fields(SolverConfig)
                     if type(f.default) is not int]
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    # a bool is not a float setting, though True compares as 1
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, True,
+                                       np.True_])
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     def test_float_field_must_be_finite(self, name, value):
-        with pytest.raises(ValueError,
-                           match=f"^{name} must be .*, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name} must be .*, "
+                                             f"got {re.escape(repr(value))}$"):
             SolverConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [2.5, True])
