@@ -9,7 +9,9 @@ The stages are one module each: `dataset` (readers, synthetic sets,
 splits and the rules for every setting), `graph` (kNN graph, `auto_theta`),
 `labelspace` (candidate encoding), `solver` (the objective, its ALM/CCCP
 solve and `SolverConfig`, its one parameter object), `inference` (the
-vote), `evaluation` and `cli`.
+vote), `evaluation` and `cli`. The root exports the pipeline: data, graph,
+encoding, `alm_fit`, `Predictor` with `predict_batch`, and the evaluation;
+the objective's pieces and the CCCP solve stay in `supersetlabel.solver`.
 """
 
 from .dataset import (
@@ -21,18 +23,9 @@ from .dataset import (
 )
 from .evaluation import cross_validate, friedman_test, sweep, training_accuracy
 from .graph import auto_theta, build_knn_graph
-from .inference import Predictor, baseline_ambiguous_knn, predict, predict_batch
+from .inference import Predictor, predict_batch
 from .labelspace import encode
-from .solver import (
-    AlmState,
-    SolverConfig,
-    SolverDivergenceError,
-    alm_fit,
-    cccp_gradient,
-    cccp_minimize,
-    linearized_objective,
-    primal_objective,
-)
+from .solver import AlmState, SolverConfig, SolverDivergenceError, alm_fit
 
 __version__ = "0.1.0"
 
@@ -45,20 +38,14 @@ __all__ = [
     "SolverDivergenceError",
     "alm_fit",
     "auto_theta",
-    "baseline_ambiguous_knn",
     "build_knn_graph",
-    "cccp_gradient",
-    "cccp_minimize",
     "cross_validate",
     "encode",
     "friedman_test",
-    "linearized_objective",
     "load_manifest",
     "make_synthetic",
     "plan_splits",
-    "predict",
     "predict_batch",
-    "primal_objective",
     "sweep",
     "training_accuracy",
 ]

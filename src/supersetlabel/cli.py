@@ -20,7 +20,9 @@ import numpy as np
 from .dataset import (
     DataFormatError,
     Dataset,
+    check_count,
     check_declared,
+    check_positive,
     load_dataset,
     load_manifest,
     make_synthetic,
@@ -63,15 +65,12 @@ _SETTINGS = {
                 else int if type(f.default) is int else float, f.default)
        for f in dataclasses.fields(SolverConfig)},
     "seed": (int, 0),
-    "deterministic": (_truthy, False),
     "normalize": (_truthy, False),
     **{path: (str, None) for path in ("features", "candidates", "truth",
                                       "manifest")},
 }
 _HELP = {
     "theta": "kernel width, or 'auto' for the mean kNN distance",
-    "deterministic": "accepted and ignored: outputs are byte-identical "
-                     "across runs and BLAS thread counts without it",
     "normalize": "scale feature rows to unit length",
     "truth": "ground-truth labels; cv and sweep require them",
     "manifest": "dataset manifest; replaces the three file flags",
@@ -216,7 +215,9 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-MODEL_META_KEYS = {"n": int, "d": int, "c": int, "K": int, "theta": float,
+MODEL_META_KEYS = {"n": int, "d": int, "c": int,
+                   "K": lambda raw: check_count(int(raw), "K"),
+                   "theta": lambda raw: check_positive(float(raw), "theta"),
                    "normalize": _truthy}
 
 

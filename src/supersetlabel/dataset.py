@@ -239,7 +239,8 @@ def load_dataset(features_path, candidates_path, truth_path=None,
     """Load a Dataset from the plain-text file formats.
 
     features_path   one example per line, tab-separated floats
-    candidates_path one line per example, comma-separated 1-based labels
+    candidates_path one line per example, comma-separated 1-based labels;
+                    a label below 1 is an error naming the file and line
     truth_path      optional, one 1-based label per line
     c               optional declared class count; the effective count is
                     max(declared, largest index seen), and an index beyond
@@ -248,7 +249,8 @@ def load_dataset(features_path, candidates_path, truth_path=None,
     features = read_features(features_path)
     candidates = read_lines(
         candidates_path, "candidate list",
-        lambda line: tuple(int(t) for t in line.replace(" ", "").split(",")))
+        lambda line: tuple(check_count(int(t), "candidate label")
+                           for t in line.replace(" ", "").split(",")))
     if len(candidates) != len(features):
         raise DataFormatError(f"{candidates_path}: {len(features)} feature rows "
                               f"but {len(candidates)} candidate lines")

@@ -4,9 +4,9 @@ A test point collects the one-hot disambiguated label vectors of its K
 nearest training examples, weighted by the same Gaussian kernel used on the
 training graph, and takes the argmax. The neighbors come from the graph's
 search kernel under the same rule (ties to the lower index), and
-`predict_batch` scores the test points in fixed-size chunks; `predict` is
-the batch vote on one row. The ambiguous-kNN baseline is `predict` over the
-raw candidate vectors instead, serving as the no-disambiguation control.
+`predict_batch` scores the test points in fixed-size chunks. The
+no-disambiguation control is the same vote over the raw candidate vectors:
+`Predictor(ds.features, encode(ds).Y, K, theta)`.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, check_count, check_finite_rows, check_positive
+from .dataset import check_count, check_finite_rows, check_positive
 from .graph import _nearest, gaussian_weight
-from .labelspace import encode
 
 # test points voted together: bounds the vote's idx, d2 and onehot[idx] arrays
 # (graph._BLOCK_ENTRIES bounds the scan). One call for all points scores the
@@ -42,12 +41,6 @@ class Predictor:
             raise ValueError(f"{len(self.onehot)} onehot rows but "
                              f"{len(self.train_features)} train_features rows")
         self.train_features = check_finite_rows(self.train_features, "train_features")
-
-
-def predict(p: Predictor, x_t) -> tuple[int, np.ndarray]:
-    """Label and unnormalized score vector for one test point."""
-    labels, scores = predict_batch(p, [x_t])
-    return int(labels[0]), scores[0]
 
 
 def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,8 +67,3 @@ def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray
             "mk,mkc->mc", gaussian_weight(d2, p.theta), p.onehot[idx])
     return np.argmax(scores, axis=1) + 1, scores
 
-
-def baseline_ambiguous_knn(ds_train: Dataset, x_t, K: int, theta: float) -> int:
-    """Weighted kNN vote over the raw (undisambiguated) candidate vectors."""
-    return predict(Predictor(ds_train.features, encode(ds_train).Y, K, theta),
-                   x_t)[0]

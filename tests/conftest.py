@@ -13,10 +13,10 @@ from supersetlabel import (
     SolverConfig,
     alm_fit,
     encode,
-    linearized_objective,
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
+from supersetlabel.solver import linearized_objective
 
 
 def random_symmetric_graph(rng, n, edge_prob=0.6, w_lo=0.1, w_hi=1.0):

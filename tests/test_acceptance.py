@@ -16,21 +16,24 @@ from supersetlabel import (
     Dataset,
     SolverConfig,
     alm_fit,
+    Predictor,
     auto_theta,
-    baseline_ambiguous_knn,
     build_knn_graph,
-    cccp_gradient,
-    cccp_minimize,
     encode,
     friedman_test,
-    linearized_objective,
     make_synthetic,
     plan_splits,
-    primal_objective,
+    predict_batch,
     training_accuracy,
 )
 from supersetlabel.cli import main as cli_main
 from supersetlabel.graph import KnnGraph
+from supersetlabel.solver import (
+    cccp_gradient,
+    cccp_minimize,
+    linearized_objective,
+    primal_objective,
+)
 
 from conftest import (
     fit_random_instances,
@@ -183,10 +186,8 @@ def test_criterion_7_disambiguation_quality(reference_run):
     ds_tr = ds.subset(tr)
     theta = auto_theta(ds_tr, K=5)
     truth = np.asarray(ds.truth)
-    base_pred = np.asarray([
-        baseline_ambiguous_knn(ds_tr, x, K=5, theta=theta)
-        for x in ds.features[te]
-    ])
+    control = Predictor(ds_tr.features, encode(ds_tr).Y, K=5, theta=theta)
+    base_pred, _ = predict_batch(control, ds.features[te])
     base_acc = float(np.mean(base_pred == truth[te]))
     assert train_acc > base_acc
 
@@ -288,7 +289,7 @@ def test_criterion_11_deterministic_cv(tmp_path):
     for name in ("run_a", "run_b"):
         out = tmp_path / name
         code = cli_main(["cv", "--manifest", str(data / "manifest.txt"),
-                         "--seed", "17", "--deterministic",
+                         "--seed", "17",
                          "--alpha", "100", "--K", "4", "--loop-max", "10",
                          "--out", str(out)])
         assert code == 0

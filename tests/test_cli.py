@@ -306,9 +306,15 @@ class TestPredict:
          "{model}/model_meta.txt: declared d=5 but model_features.tsv has 2"),
         ("model_meta.txt", lambda t: re.sub(r"(?m)^c=.*$", "c=7", t),
          "{model}/model_meta.txt: declared c=7 but onehot.csv has 2"),
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^K=.*$", "K=0", t),
+         "{model}/model_meta.txt: bad value for key 'K': "
+         "K must be at least 1, got 0"),
+        ("model_meta.txt", lambda t: re.sub(r"(?m)^theta=.*$", "theta=-1", t),
+         "{model}/model_meta.txt: bad value for key 'theta': "
+         "theta must be finite and positive, got -1.0"),
     ], ids=["no_K", "no_theta", "short_onehot", "short_features",
             "onehot_token", "onehot_token_line_3", "meta_n", "meta_d",
-            "meta_c"])
+            "meta_c", "meta_K_zero", "meta_theta_negative"])
     def test_bad_model_is_data_error(self, fitted_model, synth_dir, tmp_path,
                                      capsys, name, edit, message):
         model = tmp_path / "model"
@@ -436,7 +442,7 @@ class TestCv:
         for name in ("a", "b"):
             out = tmp_path / name
             code = run_cli("cv", "--manifest", str(synth_dir / "manifest.txt"),
-                           "--seed", "3", "--deterministic",
+                           "--seed", "3",
                            "--out", str(out), *FAST)
             assert code == EXIT_OK
             outs.append((out / "results.csv").read_bytes())
@@ -739,7 +745,7 @@ class TestConfigHandling:
         # the solver knobs are listed both in SolverConfig and in the CLI;
         # every field needs a flag, and a flag that is not a field is ignored
         dests = {a.dest for a in subparsers()[command]._actions}
-        other = {"help", "config", "seed", "deterministic", "normalize",
+        other = {"help", "config", "seed", "normalize",
                  "features", "candidates", "truth", "manifest", "out", "grid"}
         fields = {f.name for f in dataclasses.fields(SolverConfig)}
         assert dests - other == fields
@@ -749,14 +755,13 @@ class TestConfigHandling:
             run_cli("fit", "--bogus", "1")
         assert exc.value.code == 2
 
-    # a value off the default for every setting but the data paths; the two
-    # switches are set by a bare flag and by "true" in a config file
+    # a value off the default for every setting but the data paths; the
+    # switch is set by a bare flag and by "true" in a config file
     SETTING_VALUES = {
         "alpha": "50", "beta": "0.02", "K": "4", "theta": "0.7", "rho": "1.2",
         "sigma0": "2", "t_max": "5", "eps0": "1e-5",
         "loop_max": "3", "eps1": "1e-3", "gd_max_iters": "50",
-        "gd_grad_tol": "1e-4", "seed": "5", "deterministic": "true",
-        "normalize": "true",
+        "gd_grad_tol": "1e-4", "seed": "5", "normalize": "true",
     }
 
     @pytest.mark.parametrize("key", sorted(

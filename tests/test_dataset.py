@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,16 @@ class TestLoad:
     def test_declared_c_extends_range(self, tmp_path):
         fp, cp, _ = write_files(tmp_path, [[0.0], [1.0]], ["1", "2"])
         assert load_dataset(fp, cp, c=5).c == 5
+
+    @pytest.mark.parametrize("lines, line_no", [
+        (["0", "0", "-1"], 1), (["1", "0", "2"], 2)], ids=["all", "one"])
+    def test_label_below_one_names_file_and_line(self, tmp_path, lines,
+                                                 line_no):
+        fp, cp, _ = write_files(tmp_path, [[0.0], [1.0], [2.0]], lines)
+        with pytest.raises(DataFormatError, match=(
+                rf"^{re.escape(str(cp))}: bad candidate list on line "
+                rf"{line_no}: '{lines[line_no - 1]}'$")):
+            load_dataset(fp, cp)
 
     def test_candidates_tolerate_spaces(self, tmp_path):
         fp, cp, _ = write_files(tmp_path, [[0.0], [1.0]], ["1, 2", "2"])

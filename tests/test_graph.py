@@ -9,7 +9,7 @@ from supersetlabel import (
     Predictor,
     auto_theta,
     build_knn_graph,
-    predict,
+    predict_batch,
 )
 from supersetlabel.graph import _nearest
 
@@ -30,8 +30,8 @@ class TestGaussianWeight:
         assert g.W[0, 1] == 1.0 and g.W[1, 0] == 1.0
         p = Predictor(train_features=np.asarray(pts[:1]),
                       onehot=np.ones((1, 1)), K=1, theta=0.7)
-        _, scores = predict(p, pts[1])
-        assert scores[0] == 1.0
+        _, scores = predict_batch(p, pts[1:])
+        assert scores[0, 0] == 1.0
 
     def test_distance_matching_width(self):
         # squared distance 2 theta^2 gives exactly exp(-1)

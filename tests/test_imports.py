@@ -1,7 +1,9 @@
-"""The package's import surface: the root names, and no unused imports."""
+"""The package's import surface: the root names, the README's use of
+them, and no unused imports."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,16 +14,16 @@ import supersetlabel
 from supersetlabel.cli import main
 
 PACKAGE = Path(supersetlabel.__file__).parent
+README = PACKAGE.parents[1] / "README.md"
 
-# what the acceptance suite, the benchmark and the README's library example
-# import from the package root, plus the two errors those functions raise
+# the pipeline (data, graph, encoding, solve, vote, evaluation) and the two
+# errors its functions raise, plus AlmState, which the benchmark's own test
+# reads from the root; the solver's internals stay in supersetlabel.solver
 ROOT_API = {
     "AlmState", "DataFormatError", "Dataset", "Predictor", "SolverConfig",
-    "SolverDivergenceError", "alm_fit", "auto_theta",
-    "baseline_ambiguous_knn", "build_knn_graph", "cccp_gradient",
-    "cccp_minimize", "cross_validate", "encode", "friedman_test",
-    "linearized_objective", "load_manifest", "make_synthetic", "plan_splits",
-    "predict", "predict_batch", "primal_objective", "sweep",
+    "SolverDivergenceError", "alm_fit", "auto_theta", "build_knn_graph",
+    "cross_validate", "encode", "friedman_test", "load_manifest",
+    "make_synthetic", "plan_splits", "predict_batch", "sweep",
     "training_accuracy",
 }
 
@@ -30,6 +32,24 @@ def test_root_exports_exactly_the_api():
     assert sorted(supersetlabel.__all__) == sorted(ROOT_API)
     for name in supersetlabel.__all__:
         getattr(supersetlabel, name)  # resolves
+
+
+def test_readme_library_example_runs():
+    block = README.read_text().split("## Library use", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    scope = {}
+    exec(compile(code, "README.md", "exec"), scope)
+    assert scope["labels"].shape == (1,)
+    assert scope["scores"].shape == (1, scope["ds"].c)
+
+
+def test_readme_names_only_root_exports():
+    text = README.read_text()
+    assert set(re.findall(r"\bssl\.(\w+)", text)) <= set(supersetlabel.__all__)
+    listed = text.split("The package root exports these names", 1)[1]
+    listed = listed.split("\n\n", 1)[1].split("\n\n", 1)[0]
+    assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(
+        supersetlabel.__all__)
 
 
 def imported_names(tree: ast.Module) -> set[str]:

@@ -7,8 +7,7 @@ from supersetlabel import (
     DataFormatError,
     Dataset,
     Predictor,
-    baseline_ambiguous_knn,
-    predict,
+    encode,
     predict_batch,
 )
 from supersetlabel.inference import _CHUNK
@@ -27,7 +26,7 @@ class TestPredict:
         feats = rng.normal(size=(8, 2))
         p = Predictor(train_features=feats, onehot=onehot([2] * 8, 3), K=4,
                       theta=1.0)
-        label, _ = predict(p, rng.normal(size=2))
+        (label,), _ = predict_batch(p, [rng.normal(size=2)])
         assert label == 2
 
     def test_hand_computed_weighted_sum(self):
@@ -39,7 +38,7 @@ class TestPredict:
         feats = np.array([[d1, 0.0], [0.0, d2]])
         p = Predictor(train_features=feats, onehot=onehot([1, 2], 2), K=2,
                       theta=theta)
-        label, scores = predict(p, np.zeros(2))
+        (label,), (scores,) = predict_batch(p, [np.zeros(2)])
         np.testing.assert_allclose(scores, [0.8, 0.2], atol=1e-12)
         assert label == 1
 
@@ -48,7 +47,7 @@ class TestPredict:
         labels = [3, 1, 2, 3, 1]
         p = Predictor(train_features=feats, onehot=onehot(labels, 3), K=1,
                       theta=0.7)
-        label, scores = predict(p, feats[2])
+        (label,), (scores,) = predict_batch(p, [feats[2]])
         assert label == 2
         assert scores[1] == 1.0  # zero distance, weight exactly 1
 
@@ -57,7 +56,7 @@ class TestPredict:
         p = Predictor(train_features=feats, onehot=onehot([1, 2, 1], 2), K=9,
                       theta=1.0)
         with pytest.warns(UserWarning, match="clamp"):
-            label, _ = predict(p, np.zeros(2))
+            (label,), _ = predict_batch(p, [np.zeros(2)])
         assert label in (1, 2)
 
     def test_score_mass_is_weight_sum(self, rng):
@@ -65,7 +64,7 @@ class TestPredict:
         p = Predictor(train_features=feats, onehot=onehot([1, 2] * 5, 2), K=4,
                       theta=0.9)
         x = rng.normal(size=2)
-        _, scores = predict(p, x)
+        _, (scores,) = predict_batch(p, [x])
         d2 = np.sum((feats - x) ** 2, axis=1)
         w = np.exp(-np.sort(d2)[:4] / (2 * 0.9**2))
         assert scores.sum() == pytest.approx(w.sum(), rel=1e-12)
@@ -90,11 +89,11 @@ class TestPredict:
         feats = np.array([[1.0, 0.0], [-1.0, 0.0]])
         p = Predictor(train_features=feats, onehot=onehot([2, 1], 2), K=1,
                       theta=1.0)
-        label, _ = predict(p, np.zeros(2))
+        (label,), _ = predict_batch(p, [np.zeros(2)])
         assert label == 2  # index 0 wins the neighbor tie
         p2 = Predictor(train_features=feats, onehot=onehot([2, 1], 2), K=2,
                        theta=1.0)
-        label2, scores2 = predict(p2, np.zeros(2))
+        (label2,), (scores2,) = predict_batch(p2, [np.zeros(2)])
         assert scores2[0] == scores2[1]
         assert label2 == 1  # score tie resolves to the smallest class index
 
@@ -168,33 +167,44 @@ class TestNeighborRule:
         X = rng.normal(size=(2 * _CHUNK + 7, 3))
         labels, scores = predict_batch(p, X)
         for i, x in enumerate(X):
-            label, s = predict(p, x)
+            (label,), (s,) = predict_batch(p, [x])
             assert label == labels[i]
             np.testing.assert_array_equal(s, scores[i])
 
 
 class TestBaseline:
+    """The no-disambiguation control: the vote over the raw candidate rows."""
+
+    @staticmethod
+    def control(ds, K, theta):
+        return Predictor(ds.features, encode(ds).Y, K=K, theta=theta)
+
     def test_singleton_neighbors(self, rng):
         feats = rng.normal(size=(6, 2))
         ds = Dataset(features=feats, candidates=((3,),) * 6, c=3)
-        assert baseline_ambiguous_knn(ds, rng.normal(size=2), K=3,
-                                      theta=1.0) == 3
+        labels, _ = predict_batch(self.control(ds, K=3, theta=1.0),
+                                  rng.normal(size=(1, 2)))
+        assert labels.tolist() == [3]
 
     def test_ambiguous_neighbor_splits_mass(self):
         # one neighbor with S = {1, 2} at distance 0 contributes 0.5 each;
         # a farther singleton {2} neighbor tips the vote to 2
         feats = np.array([[0.0, 0.0], [0.3, 0.0]])
         ds = Dataset(features=feats, candidates=((1, 2), (2,)), c=2)
-        assert baseline_ambiguous_knn(ds, np.zeros(2), K=2, theta=1.0) == 2
+        (label,), (scores,) = predict_batch(self.control(ds, K=2, theta=1.0),
+                                            np.zeros((1, 2)))
+        assert label == 2
+        w = math.exp(-0.3**2 / 2)
+        np.testing.assert_allclose(scores, [0.5, 0.5 + w], rtol=1e-12)
 
     def test_invalid_theta(self, rng):
         ds = Dataset(features=rng.normal(size=(3, 2)),
                      candidates=((1,), (2,), (1,)), c=2)
         with pytest.raises(ValueError):
-            baseline_ambiguous_knn(ds, np.zeros(2), K=1, theta=-1.0)
+            self.control(ds, K=1, theta=-1.0)
 
     def test_invalid_K(self, rng):
         ds = Dataset(features=rng.normal(size=(3, 2)),
                      candidates=((1,), (2,), (1,)), c=2)
         with pytest.raises(ValueError, match="K must be at least 1"):
-            baseline_ambiguous_knn(ds, np.zeros(2), K=0, theta=1.0)
+            self.control(ds, K=0, theta=1.0)

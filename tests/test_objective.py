@@ -6,12 +6,14 @@ from supersetlabel import (
     AlmState,
     Dataset,
     SolverConfig,
-    cccp_gradient,
     encode,
+)
+from supersetlabel.graph import KnnGraph
+from supersetlabel.solver import (
+    cccp_gradient,
     linearized_objective,
     primal_objective,
 )
-from supersetlabel.graph import KnnGraph
 
 from conftest import random_instance, random_state
 

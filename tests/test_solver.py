@@ -12,15 +12,18 @@ from supersetlabel import (
     SolverDivergenceError,
     alm_fit,
     build_knn_graph,
-    cccp_gradient,
-    cccp_minimize,
     encode,
-    linearized_objective,
     make_synthetic,
 )
 from supersetlabel import solver as solver_module
 from supersetlabel.graph import KnnGraph
-from supersetlabel.solver import SIGMA_CAP, gd_minimize
+from supersetlabel.solver import (
+    SIGMA_CAP,
+    cccp_gradient,
+    cccp_minimize,
+    gd_minimize,
+    linearized_objective,
+)
 
 from conftest import (
     fit_random_instances,
