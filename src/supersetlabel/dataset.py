@@ -241,7 +241,8 @@ def load_dataset(features_path, candidates_path, truth_path=None,
     features_path   one example per line, tab-separated floats
     candidates_path one line per example, comma-separated 1-based labels;
                     a label below 1 is an error naming the file and line
-    truth_path      optional, one 1-based label per line
+    truth_path      optional, one 1-based label per line; a label below 1 is
+                    an error naming the file and line
     c               optional declared class count; the effective count is
                     max(declared, largest index seen), and an index beyond
                     the declared count is an error
@@ -264,7 +265,9 @@ def load_dataset(features_path, candidates_path, truth_path=None,
 
     truth = None
     if truth_path is not None:
-        truth = tuple(read_lines(truth_path, "truth label", int))
+        truth = tuple(read_lines(
+            truth_path, "truth label",
+            lambda line: check_count(int(line), "truth label")))
         if len(truth) != len(features):
             raise DataFormatError(f"{truth_path}: {len(features)} feature rows "
                                   f"but {len(truth)} truth labels")

@@ -4,8 +4,9 @@ A test point collects the one-hot disambiguated label vectors of its K
 nearest training examples, weighted by the same Gaussian kernel used on the
 training graph, and takes the argmax. The neighbors come from the graph's
 search kernel under the same rule (ties to the lower index), and
-`predict_batch` scores the test points in fixed-size chunks. The
-no-disambiguation control is the same vote over the raw candidate vectors:
+`predict_batch` prepares the training rows for it once per call and scores
+the test points in fixed-size chunks. The no-disambiguation control is the
+same vote over the raw candidate vectors:
 `Predictor(ds.features, encode(ds).Y, K, theta)`.
 """
 
@@ -17,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import check_count, check_finite_rows, check_positive
-from .graph import _nearest, gaussian_weight
+from .graph import _ScanBase, _nearest, gaussian_weight
 
 # test points voted together: bounds the vote's idx, d2 and onehot[idx] arrays
-# (graph._BLOCK_ENTRIES bounds the scan). One call for all points scores the
-# same but took ref's peak RSS from 57.9 to 61.5 MiB, past the 5% bound.
+# (the scan's own rows per block come from graph._BLOCK_BYTES). One call for
+# all points scores the same but took ref's peak RSS from 57.9 to 61.5 MiB,
+# past the 5% bound.
 _CHUNK = 256
 
 
@@ -59,9 +61,9 @@ def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray
         warnings.warn(f"K={K} exceeds {n} training examples; clamping",
                       stacklevel=2)
         K = n
+    base = _ScanBase(p.train_features)
     for start in range(0, X_t.shape[0], _CHUNK):
-        idx, d2 = _nearest(p.train_features, X_t[start:start + _CHUNK], K,
-                           skip_self=False)
+        idx, d2 = _nearest(base, X_t[start:start + _CHUNK], K, skip_self=False)
         # each score row is its neighbors' label rows, summed by kernel weight
         scores[start:start + _CHUNK] = np.einsum(
             "mk,mkc->mc", gaussian_weight(d2, p.theta), p.onehot[idx])

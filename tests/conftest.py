@@ -35,14 +35,16 @@ def lattice(side):
                     dtype=float)
 
 
-def brute_knn(base, query, K, skip_self=False):
+def brute_knn(base, query, K, skip_self=False,
+              sq_dist=lambda rows, x: np.sum((rows - x) ** 2, axis=1)):
     """Each query row's K nearest base rows, ordered by (squared distance,
     index), and those squared distances; with skip_self, row i of query is
-    row i of base and is never its own neighbour."""
+    row i of base and is never its own neighbour. sq_dist(rows, x) gives the
+    squared distances of the rows to x."""
     idx = np.empty((len(query), K), dtype=int)
     d2 = np.empty((len(query), K))
     for i, x in enumerate(query):
-        dist2 = np.sum((base - x) ** 2, axis=1)
+        dist2 = sq_dist(base, x)
         if skip_self:
             dist2[i] = np.inf
         order = np.lexsort((np.arange(len(base)), dist2))[:K]

@@ -61,6 +61,17 @@ class TestLoad:
                            match=r"truth\.txt: bad truth label on line 3: 'x'"):
             load_dataset(fp, cp, tp)
 
+    @pytest.mark.parametrize("label", ["0", "-2"])
+    def test_truth_label_below_one_names_file_and_line(self, tmp_path, label):
+        # it used to reach Dataset's membership check, which names neither
+        fp, cp, _ = write_files(tmp_path, [[0.0], [1.0]], ["1", "2"])
+        tp = tmp_path / "truth.txt"
+        tp.write_text(f"1\n{label}\n")
+        with pytest.raises(DataFormatError, match=(
+                rf"^{re.escape(str(tp))}: bad truth label on line 2: "
+                rf"'{label}'$")):
+            load_dataset(fp, cp, tp)
+
     def test_non_numeric_token(self, tmp_path):
         fp, cp, _ = write_files(tmp_path, [[0, 1], ["x", 3]], ["1", "2"])
         with pytest.raises(DataFormatError, match="non-numeric"):

@@ -11,7 +11,8 @@ from supersetlabel import (
     build_knn_graph,
     predict_batch,
 )
-from supersetlabel.graph import _nearest
+from supersetlabel import graph
+from supersetlabel.graph import _ScanBase, _nearest
 
 from conftest import brute_knn, lattice, random_symmetric_graph
 
@@ -204,10 +205,73 @@ class TestNeighborRule:
         cases = [(base, True, K), (queries, False, K), (queries, False, n),
                  (queries[-1:], False, K)]  # a single query row
         for query, skip_self, k in cases:
-            idx, d2 = _nearest(base, query, k, skip_self)
+            idx, d2 = _nearest(_ScanBase(base), query, k, skip_self)
             want_idx, want_d2 = brute_knn(base, query, k, skip_self)
             np.testing.assert_array_equal(idx, want_idx)
             np.testing.assert_array_equal(d2, want_d2)
+
+    # layouts where float32 rounding, underflow or overflow could cost the
+    # scan a neighbour; the exact pass sums with graph._sq_dist, whose order
+    # can differ from np.sum's, so the brute force sums with it too
+    @pytest.mark.parametrize("K", [1, 5])
+    @pytest.mark.parametrize("skip_self", [True, False])
+    @pytest.mark.parametrize("layout", [
+        "offset",  # spread 1e-3 at 1e9: float64 holds about 13 bits of it
+        "tiny",  # spread 1e-200: the direct sums underflow to 0 and tie
+        "far_queries",  # base at 1e150, queries at 1e180: the sums overflow
+        "column_scales",  # columns scaled from 1 to 1e8
+        "duplicates",
+        "shell",  # queries at the centre of rows at 1 + 0, 1, 2 or 3e-9
+    ])
+    def test_nearest_matches_direct_sums_on_hard_layouts(self, rng, layout,
+                                                        skip_self, K):
+        base = rng.normal(size=(150, 4))
+        query = rng.normal(size=(30, 4))
+        if layout == "offset":
+            base, query = 1e9 + 1e-3 * base, 1e9 + 1e-3 * query
+        elif layout == "tiny":
+            base, query = 1e-200 * base, 1e-200 * query
+        elif layout == "far_queries":
+            base, query = 1e150 * base, 1e180 * query
+        elif layout == "column_scales":
+            scales = np.logspace(0, 8, base.shape[1])
+            base, query = base * scales, query * scales
+        elif layout == "duplicates":
+            base = base[rng.integers(0, 40, size=len(base))]
+        else:
+            base *= (1.0 + 1e-9 * rng.integers(0, 4, size=(len(base), 1))
+                     ) / np.linalg.norm(base, axis=1, keepdims=True)
+            query = 1e-12 * query
+        query = base if skip_self else np.vstack([query, base[::10]])
+        idx, d2 = _nearest(_ScanBase(base), query, K, skip_self)
+        want_idx, want_d2 = brute_knn(base, query, K, skip_self,
+                                      sq_dist=graph._sq_dist)
+        np.testing.assert_array_equal(idx, want_idx)
+        np.testing.assert_array_equal(d2, want_d2)
+
+    def test_exact_pass_ranks_few_rows(self, monkeypatch):
+        # a slack so loose that most rows pass the threshold would still be
+        # exact, but the scan would have become an all-pairs direct pass
+        ranked, sq_dist = [], graph._sq_dist
+
+        def counting_sq_dist(a, b):
+            ranked.append(len(a))
+            return sq_dist(a, b)
+
+        monkeypatch.setattr(graph, "_sq_dist", counting_sq_dist)
+        pts = np.random.default_rng(0).normal(size=(3000, 10))
+        K = 5
+        _nearest(_ScanBase(pts), pts, K, skip_self=True)
+        assert sum(ranked) <= (K + 1) * len(pts)
+
+    def test_too_few_candidates_raise(self):
+        # a NaN in the scan leaves a row with fewer than K candidates; this
+        # used to hand the row the next row's neighbours
+        pts = np.arange(8.0).reshape(4, 2)
+        base = _ScanBase(pts)
+        base.operand[:, 1] = np.nan
+        with pytest.raises(RuntimeError, match="fewer than K=4"):
+            _nearest(base, pts, 4, skip_self=False)
 
 
 class TestAutoTheta:

@@ -171,6 +171,18 @@ class TestNeighborRule:
             assert label == labels[i]
             np.testing.assert_array_equal(s, scores[i])
 
+    def test_far_row_keeps_its_own_neighbours(self, rng):
+        # every training row is infinitely far from [1e308, 1e308], so its
+        # scores are 0; the scan used to hand it the next row's neighbours
+        feats = rng.normal(size=(60, 2))
+        p = Predictor(train_features=feats,
+                      onehot=onehot(rng.integers(1, 4, size=60), 3), K=5,
+                      theta=1.0)
+        labels, scores = predict_batch(p, [[1e308, 1e308], feats[4]])
+        (label,), (near,) = predict_batch(p, feats[4:5])
+        np.testing.assert_array_equal(scores, [[0.0, 0.0, 0.0], near])
+        np.testing.assert_array_equal(labels, [1, label])
+
 
 class TestBaseline:
     """The no-disambiguation control: the vote over the raw candidate rows."""
