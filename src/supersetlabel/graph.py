@@ -2,18 +2,19 @@
 
 Two examples are linked when either belongs to the K nearest neighbors of
 the other; edge weights come from a Gaussian kernel on Euclidean distance.
-The adjacency is kept sparse and the Laplacian is applied as D@F - W@F.
+The adjacency is kept sparse, and the Laplacian L = D - W is stored as a
+sparse matrix on first use, so applying it is one product.
 
 `_nearest` is the one neighbor search of the package; the graph, `theta`
 and the test-time vote (inference.py) all rank rows through it. It is an
 exact blockwise scan: a float32 product against a base prepared once as a
-`_ScanBase` (centred on its mean and scaled by a power of two, so that every
-entry is at most 1) gives each row its half-distances, a per-row threshold
-from the minima of column groups leaves a few candidates per row, and those
-are ranked by their direct float64 distance. The threshold's slack bounds
-the float32 error term by term (input rounding, the (d + 1)-term product,
-centring and direct-sum underflow; see `_nearest`), so the result is the
-exact float64 ranking. The vote also shares the graph's kernel,
+`_ScanBase` (centred on its midrange and scaled by a power of two, so that
+every entry is at most 1) gives each row its half-distances, a per-row
+threshold from the minima of column groups leaves a few candidates per row,
+and those are ranked by their direct float64 distance. The threshold's slack
+bounds the float32 error term by term (input rounding, the (d + 1)-term
+product, centring and direct-sum underflow; see `_nearest`), so the result
+is the exact float64 ranking. The vote also shares the graph's kernel,
 `gaussian_weight`. K and theta are checked by the package's rules in
 dataset.py.
 """
@@ -38,6 +39,7 @@ _BLOCK_BYTES = 1 << 19
 # block's products and their sums stay far inside float32's range (2**128)
 _SCAN_RANGE = 2.0 ** 60
 _EPS32 = 2.0 ** -23  # float32 machine epsilon
+_FOLD = 64  # rows folded side by side by _column_extremes
 
 
 @dataclass
@@ -47,6 +49,7 @@ class KnnGraph:
     W: sp.csr_matrix
     theta: float
     degrees: np.ndarray = field(init=False)
+    _L: sp.csr_matrix | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         import scipy.sparse as sp
@@ -57,9 +60,18 @@ class KnnGraph:
     def n(self) -> int:
         return self.W.shape[0]
 
+    @property
+    def L(self) -> sp.csr_matrix:
+        """The Laplacian D - W, stored on first use, so that a graph that is
+        only voted over never holds a second sparse matrix."""
+        if self._L is None:
+            import scipy.sparse as sp
+            self._L = sp.csr_matrix(sp.diags(self.degrees) - self.W)
+        return self._L
+
     def laplacian_apply(self, F: np.ndarray) -> np.ndarray:
-        """L @ F without materializing L."""
-        return self.degrees[:, None] * F - self.W @ F
+        """L @ F, one sparse product."""
+        return self.L @ F
 
 
 def gaussian_weight(d2: np.ndarray, theta: float) -> np.ndarray:
@@ -73,21 +85,43 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...d,...d->...", diff, diff)
 
 
+def _column_extremes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's max and min of a 2-D array with at least one row.
+
+    numpy reduces a C-ordered array down its columns one row at a time, which
+    is slow for a narrow row, so the rows are first folded in groups of
+    _FOLD side by side: one reduction then runs over rows _FOLD times wider.
+    """
+    n, d = x.shape
+    whole = n - n % _FOLD
+    folded = x[:whole].reshape(whole // _FOLD, _FOLD * d)
+    top = np.vstack([folded.max(axis=0, initial=-np.inf).reshape(_FOLD, d),
+                     x[whole:]])
+    bottom = np.vstack([folded.min(axis=0, initial=np.inf).reshape(_FOLD, d),
+                        x[whole:]])
+    return top.max(axis=0), bottom.min(axis=0)
+
+
 class _ScanBase:
     """Base rows prepared once for any number of `_nearest` scans.
 
-    x' = (x - centre) * 2**-exponent is a row centred on the base's mean and
-    scaled by a power of two, so that every entry is at most 1 in magnitude.
-    The float32 operand, (d + 1) x n and C-contiguous, holds -x' and then
-    |x'|^2/2 in each column. Every value of features must be finite.
+    x' = (x - centre) * 2**-exponent is a row centred on the base's midrange
+    (0.5 max + 0.5 min per column, which cannot overflow where a mean's sum
+    can) and scaled by a power of two, so that every entry is at most 1 in
+    magnitude. The float32 operand, (d + 1) x n and C-contiguous, holds -x'
+    and then |x'|^2/2 in each column. Every value of features must be finite.
     """
 
     def __init__(self, features: np.ndarray):
         n, d = features.shape
         self.features = features
-        self.centre = features.mean(axis=0)
+        top, bottom = _column_extremes(features)
+        self.centre = 0.5 * top + 0.5 * bottom
+        # x - centre rounds monotonically in x, so each column's largest
+        # |x - centre| is at its max or its min
+        reach = np.maximum(top - self.centre, self.centre - bottom)
+        self.exponent = int(np.frexp(reach.max(initial=0.0))[1])
         scaled = features - self.centre
-        self.exponent = int(np.frexp(np.abs(scaled).max(initial=0.0))[1])
         np.ldexp(scaled, -self.exponent, out=scaled)
         half_sq = 0.5 * np.einsum("ij,ij->i", scaled, scaled)
         self.half_sq_max = float(half_sq.max(initial=0.0))

@@ -43,6 +43,7 @@ class Predictor:
             raise ValueError(f"{len(self.onehot)} onehot rows but "
                              f"{len(self.train_features)} train_features rows")
         self.train_features = check_finite_rows(self.train_features, "train_features")
+        check_count(len(self.train_features), "train_features rows")
 
 
 def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -160,20 +160,21 @@ def linearized_objective(F: np.ndarray, F_t: np.ndarray, state: AlmState,
 
 def cccp_gradient(F: np.ndarray, F_t: np.ndarray, state: AlmState,
                   graph: KnnGraph, codec: LabelCodec, cfg: SolverConfig,
-                  LF: np.ndarray | None = None) -> np.ndarray:
+                  LF: np.ndarray | None = None,
+                  M: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the linearized objective at F.
 
-    The clamped multiplier M is recomputed at the argument F, which makes
-    the nonnegativity penalty differentiable almost everywhere. LF, when
-    given, stands for the product L F, which is then not recomputed.
+    The clamped multiplier M = max(0, Lambda1 - sigma F) is taken at the
+    argument F, which makes the nonnegativity penalty differentiable almost
+    everywhere. LF and M, when given, stand for the product L F and for that
+    multiplier, which are then not recomputed.
     """
     _check_dims(F, graph, codec)
-    g = graph.laplacian_apply(F) if LF is None else LF.copy()
-    g *= 2.0
+    g = 2.0 * (graph.laplacian_apply(F) if LF is None else LF)
     g += 2.0 * cfg.alpha * codec.H * F
-    g -= np.maximum(0.0, state.lambda1 - state.sigma * F)
+    g -= np.maximum(0.0, state.lambda1 - state.sigma * F) if M is None else M
     g -= state.lambda2[:, None]
-    g += state.sigma * (F.sum(axis=1) - 1.0)[:, None]
+    g += state.sigma * (F @ np.ones(F.shape[1]) - 1.0)[:, None]
     g -= 2.0 * cfg.beta * F_t
     return g
 
@@ -245,30 +246,40 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
     (1 - _ARMIJO_C) tau <g, d> and so never subtracts two large surrogate
     values, whose rounding error can exceed the decrease being tested.
     L F is carried along the steps (L F -= tau L d, with L d the product
-    the curvature needs), so an iteration makes one Laplacian apply.
+    the curvature needs), so an iteration makes one Laplacian apply. So are
+    the clamp argument Lambda1 - sigma F and M = max(0, Lambda1 - sigma F):
+    the accepted trial's b and max(b, 0) are their values at the new iterate,
+    and M is handed to cccp_gradient. Row sums are products with a ones
+    vector, and the two values 1 / q can take per entry are computed once
+    per call.
     """
     grad_tol = cfg.resolved_grad_tol(*F_init.shape)
     tau_cap = 1.0 / _STEP_UNDERFLOW
     sigma = state.sigma
-    # the part of q that does not depend on F
+    ones = np.ones(F_init.shape[1])
+    # the part of q that does not depend on F, and the two values of 1 / q
     P_fixed = np.maximum(
         2.0 * graph.degrees[:, None] + 2.0 * cfg.alpha * codec.H,
         _Q_FLOOR * sigma)
+    w_clamped, w_free = 1.0 / (P_fixed + sigma), 1.0 / P_fixed
+    del P_fixed
     F = F_init.copy()
     LF = graph.laplacian_apply(F)
+    arg = state.lambda1 - sigma * F  # the clamp argument
+    M = np.maximum(arg, 0.0)
     trial = 1.0
     z_prev = d_prev = gz_prev = None
     for _ in range(cfg.gd_max_iters):
-        g = cccp_gradient(F, F_init, state, graph, codec, cfg, LF=LF)
+        g = cccp_gradient(F, F_init, state, graph, codec, cfg, LF=LF, M=M)
         if np.sqrt(np.vdot(g, g)) <= grad_tol:
             break
-        arg = state.lambda1 - sigma * F
-        M = np.maximum(arg, 0.0)
         # z = (diag(q_i) + sigma 1 1')^-1 g_i per row, by Sherman-Morrison
-        w = 1.0 / (P_fixed + sigma * (arg > 0.0))
-        s = (sigma * np.einsum("ij,ij->i", w, g)
-             / (1.0 + sigma * w.sum(axis=1)))
-        z = w * (g - s[:, None])
+        w = np.where(arg > 0.0, w_clamped, w_free)
+        z = w * g
+        s = sigma * (z @ ones) / (1.0 + sigma * (w @ ones))
+        w *= s[:, None]
+        z -= w
+        del w  # so that the line search holds one n x c array fewer
         d = z
         if z_prev is not None:
             pr = np.vdot(g, z - z_prev) / gz_prev
@@ -279,7 +290,7 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
         z_prev, gz_prev = z, np.vdot(g, z)
         slope = np.vdot(g, d)
         Ld = graph.laplacian_apply(d)
-        row_sums = d.sum(axis=1)
+        row_sums = d @ ones
         curv = (2.0 * np.vdot(d, Ld)
                 + 2.0 * cfg.alpha * np.vdot(codec.H * d, d)
                 + sigma * np.vdot(row_sums, row_sums))
@@ -287,13 +298,13 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
         tau = min(trial, slope / curv) if curv > 0.0 else trial
         while True:
             # the clamp argument moves from arg to b = arg + tau sigma d;
-            # with B = max(b, 0),
-            # excess = sum((B - M)^2 + 2 M max(-b, 0)) / (2 sigma)
+            # excess = sum((max(b, 0) - M)^2 - 2 M min(b, 0)) / (2 sigma)
             b = arg + tau * sigma_d
-            B = np.maximum(b, 0.0)
-            B -= M
-            np.minimum(b, 0.0, out=b)
-            excess = (np.vdot(B, B) - 2.0 * np.vdot(M, b)) / (2.0 * sigma)
+            bp = np.maximum(b, 0.0)
+            B = bp - M
+            B_sq = np.vdot(B, B)
+            np.subtract(b, bp, out=B)  # B is now min(b, 0), exactly
+            excess = (B_sq - 2.0 * np.vdot(M, B)) / (2.0 * sigma)
             if 0.5 * tau * tau * curv + excess <= (
                     1.0 - _ARMIJO_C) * tau * slope:
                 break
@@ -304,6 +315,7 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
                 return F
         F -= tau * d
         LF -= tau * Ld
+        arg, M = b, bp
         d_prev = d
         # optimistic restart: look a bit further than the accepted step
         trial = min(tau / _BACKTRACK, tau_cap)

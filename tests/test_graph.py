@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from supersetlabel import (
     Dataset,
@@ -108,8 +107,7 @@ class TestBuildGraph:
         g = build_knn_graph(ds, K=4, theta="auto")
         diff = (g.W - g.W.T)
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
-        L = sp.diags(g.degrees) - g.W
-        rowsums = np.asarray(L.sum(axis=1)).ravel()
+        rowsums = np.asarray(g.L.sum(axis=1)).ravel()  # the stored L = D - W
         np.testing.assert_allclose(rowsums, 0.0, atol=1e-12)
 
     def test_positive_semidefinite(self, rng):
@@ -144,10 +142,12 @@ class TestBuildGraph:
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
 
     def test_laplacian_matches_sparse_matrix(self, rng):
+        # one product with the stored L is D F - W F up to rounding
         g = random_symmetric_graph(rng, 9)
         F = rng.normal(size=(9, 3))
-        L = sp.diags(g.degrees) - g.W
-        np.testing.assert_allclose(g.laplacian_apply(F), L @ F, atol=1e-12)
+        want = g.degrees[:, None] * F - g.W @ F
+        err = np.linalg.norm(g.laplacian_apply(F) - want)
+        assert err <= 1e-12 * np.linalg.norm(want)
 
 
 class TestNeighborRule:
@@ -263,6 +263,22 @@ class TestNeighborRule:
         K = 5
         _nearest(_ScanBase(pts), pts, K, skip_self=True)
         assert sum(ranked) <= (K + 1) * len(pts)
+
+    @pytest.mark.parametrize("n", [1, graph._FOLD - 1, graph._FOLD,
+                                   3 * graph._FOLD + 5])
+    def test_column_extremes(self, rng, n):
+        x = rng.normal(size=(n, 6))[:, ::2]  # a strided view too
+        top, bottom = graph._column_extremes(x)
+        np.testing.assert_array_equal(top, x.max(axis=0))
+        np.testing.assert_array_equal(bottom, x.min(axis=0))
+
+    def test_huge_finite_column_votes(self):
+        # the column's sum leaves float64's range, its midrange does not
+        p = Predictor(np.array([[1e308], [1.5e308], [0.0]]), np.eye(3), K=1,
+                      theta=1.0)
+        labels, scores = predict_batch(p, p.train_features)
+        np.testing.assert_array_equal(labels, [1, 2, 3])
+        np.testing.assert_array_equal(scores, np.eye(3))
 
     def test_too_few_candidates_raise(self):
         # a NaN in the scan leaves a row with fewer than K candidates; this

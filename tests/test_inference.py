@@ -135,6 +135,12 @@ class TestPredict:
             Predictor(np.array([[0.0], [math.inf], [math.nan]]), np.eye(3),
                       K=1, theta=1.0)
 
+    def test_empty_training_set_rejected(self):
+        # it used to construct, and predict_batch then divided by zero
+        with pytest.raises(ValueError, match="^train_features rows must be "
+                                             "at least 1, got 0$"):
+            Predictor(np.zeros((0, 2)), np.zeros((0, 3)), K=1, theta=1.0)
+
     @pytest.mark.parametrize("theta", [True, np.True_])
     def test_theta_must_not_be_a_bool(self, theta):
         with pytest.raises(ValueError, match="^theta must be a real number, "

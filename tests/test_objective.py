@@ -295,6 +295,22 @@ class TestGradient:
             want = loop_gradient(F, F_t, state, graph, codec, cfg)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
+    def test_given_products_are_the_recomputed_ones_bit_for_bit(self, rng):
+        # gd_minimize hands over the L F and M it carries along the steps
+        for _ in range(5):
+            graph, codec, cfg = random_instance(rng)
+            n, c = codec.n, codec.c
+            state = random_state(rng, n, c)
+            F = rng.normal(size=(n, c))
+            F_t = rng.normal(size=(n, c))
+            M = np.maximum(0.0, state.lambda1 - state.sigma * F)
+            want = cccp_gradient(F, F_t, state, graph, codec, cfg)
+            np.testing.assert_array_equal(
+                cccp_gradient(F, F_t, state, graph, codec, cfg, M=M), want)
+            np.testing.assert_array_equal(
+                cccp_gradient(F, F_t, state, graph, codec, cfg,
+                              LF=graph.laplacian_apply(F), M=M), want)
+
     def test_taylor_consistency_at_linearization_point(self, rng):
         # at F = F_t the gradient is d(convex part)/dF minus 2 beta F_t, where
         # the convex part is the surrogate linearized at F_t = 0
