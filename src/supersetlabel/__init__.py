@@ -5,13 +5,14 @@ graph-regularized constrained program (augmented Lagrangian outer loop,
 concave-convex inner solver) and classifies unseen examples by weighted
 nearest-neighbor voting over the disambiguated labels.
 
-The stages are one module each: `dataset` (readers, synthetic sets,
-splits and the rules for every setting), `graph` (kNN graph, `auto_theta`),
-`labelspace` (candidate encoding), `solver` (the objective, its ALM/CCCP
-solve and `SolverConfig`, its one parameter object), `inference` (the
-vote), `evaluation` and `cli`. The root exports the pipeline: data, graph,
-encoding, `alm_fit`, `Predictor` with `predict_batch`, and the evaluation;
-the objective's pieces and the CCCP solve stay in `supersetlabel.solver`.
+The modules are `dataset` (readers, synthetic sets, splits and the rules
+for every setting), `graph` (the one neighbor scan: kNN graph, `auto_theta`,
+and the vote, which scores each scan block as it is ranked), `labelspace`
+(candidate encoding), `solver` (the objective, its ALM/CCCP solve and
+`SolverConfig`, its one parameter object), `evaluation` and `cli`. The root
+exports the pipeline: data, graph, encoding, `alm_fit`, `Predictor` with
+`predict_batch`, and the evaluation; the objective's pieces and the CCCP
+solve stay in `supersetlabel.solver`.
 """
 
 from .dataset import (
@@ -22,8 +23,7 @@ from .dataset import (
     plan_splits,
 )
 from .evaluation import cross_validate, friedman_test, sweep, training_accuracy
-from .graph import auto_theta, build_knn_graph
-from .inference import Predictor, predict_batch
+from .graph import Predictor, auto_theta, build_knn_graph, predict_batch
 from .labelspace import encode
 from .solver import AlmState, SolverConfig, SolverDivergenceError, alm_fit
 

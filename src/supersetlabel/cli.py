@@ -34,8 +34,7 @@ from .dataset import (
     write_kv_file,
 )
 from .evaluation import cross_validate, friedman_test, sweep
-from .graph import build_knn_graph
-from .inference import Predictor, predict_batch
+from .graph import Predictor, build_knn_graph, predict_batch
 from .labelspace import encode
 from .solver import TRACE_HEADER, SolverConfig, SolverDivergenceError, alm_fit
 
@@ -276,8 +275,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    ds = make_synthetic(n=args.n, c=args.c, d=args.d, sep=args.sep,
-                        p_coocc=args.p, r_extra=args.r, seed=args.seed)
+    try:
+        ds = make_synthetic(n=args.n, c=args.c, d=args.d, sep=args.sep,
+                            p_coocc=args.p, r_extra=args.r, seed=args.seed)
+    except ValueError as e:  # a flag out of range is a usage error
+        raise argparse.ArgumentTypeError(e) from None
     paths = save_dataset(ds, args.out)
     print(f"synth: wrote {ds.n} examples to {paths['manifest'].parent}")
     return EXIT_OK

@@ -234,6 +234,13 @@ def write_kv_file(path, items) -> None:
                      for k, v in items)
 
 
+def _candidate_list(line: str) -> tuple[int, ...]:
+    """The labels of a candidate line; a ValueError if one is below 1."""
+    labels = tuple(map(int, line.replace(" ", "").split(",")))
+    check_count(min(labels), "candidate label")
+    return labels
+
+
 def load_dataset(features_path, candidates_path, truth_path=None,
                  c: int | None = None) -> Dataset:
     """Load a Dataset from the plain-text file formats.
@@ -248,10 +255,7 @@ def load_dataset(features_path, candidates_path, truth_path=None,
                     the declared count is an error
     """
     features = read_features(features_path)
-    candidates = read_lines(
-        candidates_path, "candidate list",
-        lambda line: tuple(check_count(int(t), "candidate label")
-                           for t in line.replace(" ", "").split(",")))
+    candidates = read_lines(candidates_path, "candidate list", _candidate_list)
     if len(candidates) != len(features):
         raise DataFormatError(f"{candidates_path}: {len(features)} feature rows "
                               f"but {len(candidates)} candidate lines")

@@ -13,8 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataset import N_FOLDS, Dataset, check_count, check_finite_rows, plan_splits
-from .graph import build_knn_graph
-from .inference import Predictor, predict_batch
+from .graph import Predictor, build_knn_graph, predict_batch
 from .labelspace import encode
 from .solver import SolverConfig, SolverDivergenceError, SolverReport, alm_fit
 

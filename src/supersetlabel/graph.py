@@ -1,33 +1,40 @@
-"""K-nearest-neighbor similarity graph and its Laplacian.
+"""K-nearest-neighbor similarity graph, its Laplacian, and the test-time vote.
 
 Two examples are linked when either belongs to the K nearest neighbors of
 the other; edge weights come from a Gaussian kernel on Euclidean distance.
 The adjacency is kept sparse, and the Laplacian L = D - W is stored as a
 sparse matrix on first use, so applying it is one product.
 
+A test point takes the argmax of the one-hot disambiguated label vectors of
+its K nearest training examples, weighted by the same kernel,
+`gaussian_weight`; `predict_batch` scores each block of test points as the
+scan ranks it. The no-disambiguation control is the same vote over the raw
+candidate vectors: `Predictor(ds.features, encode(ds).Y, K, theta)`.
+
 `_nearest` is the one neighbor search of the package; the graph, `theta`
-and the test-time vote (inference.py) all rank rows through it. It is an
-exact blockwise scan: a float32 product against a base prepared once as a
-`_ScanBase` (centred on its midrange and scaled by a power of two, so that
-every entry is at most 1) gives each row its half-distances, a per-row
-threshold from the minima of column groups leaves a few candidates per row,
-and those are ranked by their direct float64 distance. The threshold's slack
-bounds the float32 error term by term (input rounding, the (d + 1)-term
-product, centring and direct-sum underflow; see `_nearest`), so the result
-is the exact float64 ranking. The vote also shares the graph's kernel,
-`gaussian_weight`. K and theta are checked by the package's rules in
-dataset.py.
+and the vote all rank rows through it, under one rule (ties to the lower
+index). It is an exact blockwise scan: a float32 product against a base
+prepared once as a `_ScanBase` (centred on its midrange and scaled by a
+power of two, so that every entry is at most 1) gives each row its
+half-distances, a per-row threshold from the minima of column groups leaves
+a few candidates per row, and those are ranked by their direct float64
+distance. The threshold's slack bounds the float32 error term by term
+(input rounding, the (d + 1)-term product, centring and direct-sum
+underflow; see `_nearest`), so the result is the exact float64 ranking. K
+and theta are checked by the package's rules in dataset.py.
 """
 
 from __future__ import annotations
 
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import isqrt, ldexp
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dataset import Dataset, check_count, check_positive
+from .dataset import Dataset, check_count, check_finite_rows, check_positive
 
 if TYPE_CHECKING:  # imported where a graph is built, so predict never loads it
     import scipy.sparse as sp
@@ -131,11 +138,13 @@ class _ScanBase:
 
 
 def _nearest(base: _ScanBase, query: np.ndarray, K: int,
-             skip_self: bool) -> tuple[np.ndarray, np.ndarray]:
+             skip_self: bool) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
     """Indices and squared distances of the K nearest base rows of each query row.
 
-    Rows rank by squared Euclidean distance with ties to the lower index, and
-    each output row is ordered by (distance, index). With skip_self, query is
+    Yields (rows, idx, d2) for each block of the scan as it is ranked: rows
+    is the slice of query it covers, idx and d2 are (len(rows), K). Rows rank
+    by squared Euclidean distance with ties to the lower index, and each
+    output row is ordered by (distance, index). With skip_self, query is
     base.features and row i never lists itself, even when other rows
     coincide with it. Every value must be finite.
 
@@ -187,8 +196,6 @@ def _nearest(base: _ScanBase, query: np.ndarray, K: int,
     # the direct-sum underflow term, capped where it already exceeds every
     # scanned value
     underflow = ldexp(d + 1, min(-1074 - 2 * base.exponent, 256))
-    idx = np.empty((m, K), dtype=np.intp)
-    d2 = np.empty((m, K))
     # columns past n fill the last group and scan as inf
     buf = np.full((min(block, m), groups * width), np.inf, dtype=np.float32)
     group_starts = np.arange(0, groups * width, width)
@@ -228,9 +235,7 @@ def _nearest(base: _ScanBase, query: np.ndarray, K: int,
         # each row's candidates by (distance, index)
         order = np.lexsort((exact, rows))
         top = order[(np.cumsum(counts) - counts)[:, None] + np.arange(K)]
-        idx[start:stop] = cols[top]
-        d2[start:stop] = exact[top]
-    return idx, d2
+        yield slice(start, stop), cols[top], exact[top]
 
 
 def _mean_distance(d2: np.ndarray) -> float:
@@ -247,9 +252,9 @@ def auto_theta(ds: Dataset, K: int) -> float:
     check_count(K, "K")
     if ds.n < 2:
         raise ValueError("auto_theta needs at least 2 examples")
-    _, d2 = _nearest(_ScanBase(ds.features), ds.features, min(K, ds.n - 1),
-                     skip_self=True)
-    return _mean_distance(d2)
+    return _mean_distance(np.concatenate([d2 for _, _, d2 in _nearest(
+        _ScanBase(ds.features), ds.features, min(K, ds.n - 1),
+        skip_self=True)]))
 
 
 def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGraph:
@@ -265,11 +270,54 @@ def build_knn_graph(ds: Dataset, K: int, theta: float | str = "auto") -> KnnGrap
     n = ds.n
     if check_count(K, "K") > n - 1:
         raise ValueError(f"K must be in 1..{n - 1}, got {K}")
-    nbr_idx, nbr_d2 = _nearest(_ScanBase(ds.features), ds.features, K,
-                               skip_self=True)
+    nbr_idx, nbr_d2 = np.empty((n, K), dtype=np.intp), np.empty((n, K))
+    for rows, idx, d2 in _nearest(_ScanBase(ds.features), ds.features, K,
+                                  skip_self=True):
+        nbr_idx[rows], nbr_d2[rows] = idx, d2
     theta = float(check_positive(
         _mean_distance(nbr_d2) if theta == "auto" else theta, "theta"))
     w = gaussian_weight(nbr_d2, theta)
     W = sp.csr_matrix((w.ravel(), nbr_idx.ravel(), np.arange(0, n * K + 1, K)),
                       shape=(n, n))
     return KnnGraph(W=W.maximum(W.T), theta=theta)
+
+
+@dataclass
+class Predictor:
+    """Frozen training features with their disambiguated one-hot labels."""
+
+    train_features: np.ndarray
+    onehot: np.ndarray
+    K: int
+    theta: float
+
+    def __post_init__(self):
+        check_count(self.K, "K")
+        check_positive(self.theta, "theta")
+        if len(self.onehot) != len(self.train_features):
+            raise ValueError(f"{len(self.onehot)} onehot rows but "
+                             f"{len(self.train_features)} train_features rows")
+        self.train_features = check_finite_rows(self.train_features, "train_features")
+        check_count(len(self.train_features), "train_features rows")
+
+
+def predict_batch(p: Predictor, X_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and score matrix for a batch of test points.
+
+    X_t must be 2-D, one row per point, as wide as the training features. A
+    row with a NaN or infinite value is a ValueError naming the row."""
+    X_t = check_finite_rows(X_t, "test feature")
+    n, d = p.train_features.shape
+    if X_t.shape[1] != d:
+        raise ValueError(f"test features have {X_t.shape[1]} dims, "
+                         f"model expects {d}")
+    if p.K > n:
+        warnings.warn(f"K={p.K} exceeds {n} training examples; clamping",
+                      stacklevel=2)
+    scores = np.empty((X_t.shape[0], p.onehot.shape[1]))
+    for rows, idx, d2 in _nearest(_ScanBase(p.train_features), X_t,
+                                  min(p.K, n), skip_self=False):
+        # each score row is its neighbors' label rows, summed by kernel weight
+        scores[rows] = np.einsum("mk,mkc->mc", gaussian_weight(d2, p.theta),
+                                 p.onehot[idx])
+    return np.argmax(scores, axis=1) + 1, scores

@@ -15,7 +15,7 @@ from supersetlabel import (
     encode,
 )
 from supersetlabel import solver as solver_module
-from supersetlabel.graph import KnnGraph
+from supersetlabel.graph import KnnGraph, _nearest
 from supersetlabel.solver import linearized_objective
 
 
@@ -49,6 +49,20 @@ def brute_knn(base, query, K, skip_self=False,
             dist2[i] = np.inf
         order = np.lexsort((np.arange(len(base)), dist2))[:K]
         idx[i], d2[i] = order, dist2[order]
+    return idx, d2
+
+
+def scan_knn(base, query, K, skip_self):
+    """graph._nearest's blocks over a _ScanBase gathered into (len(query), K)
+    arrays of indices and squared distances; the blocks must cover query's
+    rows once each, in order."""
+    idx = np.empty((len(query), K), dtype=np.intp)
+    d2 = np.empty((len(query), K))
+    stop = 0
+    for rows, block_idx, block_d2 in _nearest(base, query, K, skip_self):
+        assert rows.start == stop and rows.stop > stop
+        idx[rows], d2[rows], stop = block_idx, block_d2, rows.stop
+    assert stop == len(query)
     return idx, d2
 
 

@@ -628,6 +628,24 @@ class TestFriedman:
         assert "method_1" in capsys.readouterr().out
 
 
+class TestSynth:
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--n", "0", "n"), ("--c", "1", "c"), ("--d", "0", "d"),
+        ("--p", "1.5", "p_coocc"), ("--r", "5", "r_extra")])
+    def test_flag_out_of_range_is_usage_error(self, tmp_path, capsys, flag,
+                                              value, name):
+        flags = {"--n": "20", "--c": "3", "--d": "2", "--p": "0.5",
+                 "--r": "1", flag: value}
+        out = tmp_path / "data"
+        code = run_cli("synth", *(x for kv in flags.items() for x in kv),
+                       "--out", str(out))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: code=USAGE") and name in err
+        assert "\n" not in err.strip()
+        assert not out.exists()
+
+
 class TestFlags:
     def test_normalize_scales_model_features(self, synth_dir, tmp_path):
         out = tmp_path / "fit"
@@ -680,8 +698,11 @@ class TestConfigHandling:
         assert_data_error(capsys, f"msg={cfgfile}: unknown key 'sigma_cap'")
         assert not out.exists()
 
+    # a value that does not read as its key's type is a data error, even
+    # where the same text as a flag is a usage error (--t-max 2.5)
     @pytest.mark.parametrize("line, key", [
-        ("alpha=x", "alpha"), ("normalize=ture", "normalize")])
+        ("alpha=x", "alpha"), ("normalize=ture", "normalize"),
+        ("t_max=2.5", "t_max"), ("K=2.5", "K")])
     def test_bad_config_value_is_data_error(self, synth_dir, tmp_path, capsys,
                                             line, key):
         cfgfile = tmp_path / "run.cfg"

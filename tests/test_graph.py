@@ -11,9 +11,9 @@ from supersetlabel import (
     predict_batch,
 )
 from supersetlabel import graph
-from supersetlabel.graph import _ScanBase, _nearest
+from supersetlabel.graph import _ScanBase
 
-from conftest import brute_knn, lattice, random_symmetric_graph
+from conftest import brute_knn, lattice, random_symmetric_graph, scan_knn
 
 
 def point_dataset(points):
@@ -205,7 +205,7 @@ class TestNeighborRule:
         cases = [(base, True, K), (queries, False, K), (queries, False, n),
                  (queries[-1:], False, K)]  # a single query row
         for query, skip_self, k in cases:
-            idx, d2 = _nearest(_ScanBase(base), query, k, skip_self)
+            idx, d2 = scan_knn(_ScanBase(base), query, k, skip_self)
             want_idx, want_d2 = brute_knn(base, query, k, skip_self)
             np.testing.assert_array_equal(idx, want_idx)
             np.testing.assert_array_equal(d2, want_d2)
@@ -243,7 +243,7 @@ class TestNeighborRule:
                      ) / np.linalg.norm(base, axis=1, keepdims=True)
             query = 1e-12 * query
         query = base if skip_self else np.vstack([query, base[::10]])
-        idx, d2 = _nearest(_ScanBase(base), query, K, skip_self)
+        idx, d2 = scan_knn(_ScanBase(base), query, K, skip_self)
         want_idx, want_d2 = brute_knn(base, query, K, skip_self,
                                       sq_dist=graph._sq_dist)
         np.testing.assert_array_equal(idx, want_idx)
@@ -261,7 +261,7 @@ class TestNeighborRule:
         monkeypatch.setattr(graph, "_sq_dist", counting_sq_dist)
         pts = np.random.default_rng(0).normal(size=(3000, 10))
         K = 5
-        _nearest(_ScanBase(pts), pts, K, skip_self=True)
+        scan_knn(_ScanBase(pts), pts, K, skip_self=True)
         assert sum(ranked) <= (K + 1) * len(pts)
 
     @pytest.mark.parametrize("n", [1, graph._FOLD - 1, graph._FOLD,
@@ -287,7 +287,7 @@ class TestNeighborRule:
         base = _ScanBase(pts)
         base.operand[:, 1] = np.nan
         with pytest.raises(RuntimeError, match="fewer than K=4"):
-            _nearest(base, pts, 4, skip_self=False)
+            scan_knn(base, pts, 4, skip_self=False)
 
 
 class TestAutoTheta:

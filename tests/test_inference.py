@@ -10,7 +10,7 @@ from supersetlabel import (
     encode,
     predict_batch,
 )
-from supersetlabel.inference import _CHUNK
+from supersetlabel import graph
 
 from conftest import brute_knn, lattice
 
@@ -165,12 +165,15 @@ class TestNeighborRule:
         np.testing.assert_array_equal(got_scores, want)
         np.testing.assert_array_equal(got_labels, np.argmax(want, axis=1) + 1)
 
-    def test_batch_over_chunks_equals_single_points(self, rng):
+    def test_batch_over_blocks_equals_single_points(self, rng, monkeypatch):
+        # a block of the scan is at least 32 query rows; so few bytes leave
+        # it at that floor, and the batch spans several blocks and a part
+        monkeypatch.setattr(graph, "_BLOCK_BYTES", 1)
         feats = rng.normal(size=(50, 3))
         p = Predictor(train_features=feats,
                       onehot=onehot(rng.integers(1, 4, size=50), 3), K=4,
                       theta=0.9)
-        X = rng.normal(size=(2 * _CHUNK + 7, 3))
+        X = rng.normal(size=(4 * 32 + 7, 3))
         labels, scores = predict_batch(p, X)
         for i, x in enumerate(X):
             (label,), (s,) = predict_batch(p, [x])
