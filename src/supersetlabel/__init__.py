@@ -7,8 +7,8 @@ nearest-neighbor voting over the disambiguated labels.
 
 The modules are `dataset` (readers, synthetic sets, splits and the rules
 for every setting), `graph` (the one neighbor scan: kNN graph, `auto_theta`,
-and the vote, which scores each scan block as it is ranked), `labelspace`
-(candidate encoding), `solver` (the objective, its ALM/CCCP solve and
+and the vote, which scores each scan block as it is ranked), `solver` (the
+candidate encoding `encode`, the objective, its ALM/CCCP solve and
 `SolverConfig`, its one parameter object), `evaluation` and `cli`. The root
 exports the pipeline: data, graph, encoding, `alm_fit`, `Predictor` with
 `predict_batch`, and the evaluation; the objective's pieces and the CCCP
@@ -24,8 +24,8 @@ from .dataset import (
 )
 from .evaluation import cross_validate, friedman_test, sweep, training_accuracy
 from .graph import Predictor, auto_theta, build_knn_graph, predict_batch
-from .labelspace import encode
-from .solver import AlmState, SolverConfig, SolverDivergenceError, alm_fit
+from .solver import (AlmState, SolverConfig, SolverDivergenceError, alm_fit,
+                     encode)
 
 __version__ = "0.1.0"
 

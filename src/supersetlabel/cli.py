@@ -35,8 +35,8 @@ from .dataset import (
 )
 from .evaluation import cross_validate, friedman_test, sweep
 from .graph import Predictor, build_knn_graph, predict_batch
-from .labelspace import encode
-from .solver import TRACE_HEADER, SolverConfig, SolverDivergenceError, alm_fit
+from .solver import (TRACE_HEADER, SolverConfig, SolverDivergenceError,
+                     alm_fit, encode)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -285,28 +285,32 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def _parse_accuracy_table(path) -> tuple[list[str], list[list[float]]]:
-    """Rows are methods: either all numbers or a leading name column."""
+    """Rows are methods: either all numbers or a leading name column. Line 1
+    is a header when no cell after its first reads as a number."""
     names, rows = [], []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         parts = [p.strip() for p in line.split(",")]
-        try:
-            rows.append([float(p) for p in parts])
-            names.append(f"method_{len(rows)}")
-            continue
-        except ValueError:
-            pass
-        try:
-            vals = [float(p) for p in parts[1:]]
-        except ValueError:
-            if line_no == 1:
-                continue  # header row
+        vals = [_number(p) for p in parts]
+        if None not in vals:
+            name = f"method_{len(rows) + 1}"
+        elif None not in vals[1:]:
+            name, vals = parts[0], vals[1:]
+        elif line_no == 1 and set(vals[1:]) == {None}:
+            continue  # header row
+        else:
             raise DataFormatError(
-                f"{path}: non-numeric accuracy on line {line_no}"
-            ) from None
-        names.append(parts[0])
+                f"{path}: non-numeric accuracy on line {line_no}")
+        names.append(name)
         rows.append(vals)
     if not rows:
         raise DataFormatError(f"{path}: no accuracy rows")

@@ -400,6 +400,9 @@ def plan_splits(ds: Dataset, seed: int) -> SplitPlan:
     """
     if ds.truth is None:
         raise DataFormatError("plan_splits requires ground-truth labels")
+    if ds.n < N_FOLDS:  # with fewer, a fold would have no test example
+        raise DataFormatError(f"cross validation needs at least {N_FOLDS} "
+                              f"examples, got {ds.n}")
     rng = np.random.default_rng(seed)
     folds = np.zeros(ds.n, dtype=int)
     truth = np.asarray(ds.truth)

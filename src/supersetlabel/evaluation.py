@@ -14,8 +14,8 @@ import numpy as np
 
 from .dataset import N_FOLDS, Dataset, check_count, check_finite_rows, plan_splits
 from .graph import Predictor, build_knn_graph, predict_batch
-from .labelspace import encode
-from .solver import SolverConfig, SolverDivergenceError, SolverReport, alm_fit
+from .solver import (SolverConfig, SolverDivergenceError, SolverReport,
+                     alm_fit, encode)
 
 
 def training_accuracy(report: SolverReport, truth) -> float:

@@ -5,9 +5,11 @@ The primal problem is
     minimize  tr(F' L F) + alpha ||H . (F - Y)||_F^2 - beta ||F||_F^2
     s.t.      F 1_c = 1_n,  F >= 0
 
-where "." is the elementwise product. H is 0 wherever Y is nonzero, so
-H . (F - Y) is computed as H . F. alpha, beta and the solve's other knobs
-come from SolverConfig.
+where "." is the elementwise product. Y and H encode the candidate sets S_i
+(encode builds them as a LabelCodec): Y_ij = 1/|S_i| when label j is in S_i
+and 0 otherwise, so each row of Y sums to 1, and H is the binary mask of the
+non-candidates, H_ij = 1 iff Y_ij = 0. So H . (F - Y) is computed as H . F.
+alpha, beta and the solve's other knobs come from SolverConfig.
 
 The constraints enter through an augmented Lagrangian with a clamped
 multiplier M = max(0, Lambda1 - sigma F) for nonnegativity and a vector
@@ -36,12 +38,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import astuple, dataclass, fields
+from itertools import chain
 
 import numpy as np
 
-from .dataset import check_count, check_positive, check_real
+from .dataset import Dataset, check_count, check_positive, check_real
 from .graph import KnnGraph
-from .labelspace import LabelCodec
 
 SIGMA_CAP = 1e8
 _ARMIJO_C = 1e-4
@@ -53,6 +55,32 @@ _SIGMA_FLOOR_MARGIN = 1.01
 
 class SolverDivergenceError(RuntimeError):
     """Raised when the objective turns non-finite during a solve."""
+
+
+@dataclass
+class LabelCodec:
+    """Y and H of the module docstring, one row per example."""
+
+    Y: np.ndarray
+    H: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.Y.shape[0]
+
+    @property
+    def c(self) -> int:
+        return self.Y.shape[1]
+
+
+def encode(ds: Dataset) -> LabelCodec:
+    """Build the LabelCodec for a validated Dataset."""
+    sizes = np.array([len(s) for s in ds.candidates], dtype=int)
+    rows = np.repeat(np.arange(ds.n), sizes)
+    cols = np.fromiter(chain.from_iterable(ds.candidates), dtype=int) - 1
+    Y = np.zeros((ds.n, ds.c))
+    Y[rows, cols] = np.repeat(1.0 / sizes, sizes)
+    return LabelCodec(Y=Y, H=(Y == 0.0).astype(float))
 
 
 @dataclass
@@ -280,15 +308,16 @@ def gd_minimize(F_init: np.ndarray, state: AlmState, graph: KnnGraph,
         w *= s[:, None]
         z -= w
         del w  # so that the line search holds one n x c array fewer
-        d = z
+        gz = np.vdot(g, z)
+        d, slope = z, gz
         if z_prev is not None:
             pr = np.vdot(g, z - z_prev) / gz_prev
             if pr > 0.0:
                 d = z + pr * d_prev
-                if np.vdot(g, d) <= 0.0:
-                    d = z
-        z_prev, gz_prev = z, np.vdot(g, z)
-        slope = np.vdot(g, d)
+                slope = np.vdot(g, d)
+                if slope <= 0.0:
+                    d, slope = z, gz
+        z_prev, gz_prev = z, gz
         Ld = graph.laplacian_apply(d)
         row_sums = d @ ones
         curv = (2.0 * np.vdot(d, Ld)

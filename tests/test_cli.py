@@ -464,6 +464,20 @@ class TestFoldErrors:
             "error: code=DATA msg=fold 1: K must be in 1..")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["cv", "sweep"])
+    def test_fewer_examples_than_folds_is_data_error(self, tmp_path, capsys,
+                                                      command):
+        data, out, grid = tmp_path / "data", tmp_path / "out", tmp_path / "g"
+        assert run_cli("synth", "--n", "4", "--c", "2", "--d", "2",
+                       "--out", str(data)) == EXIT_OK
+        grid.write_text("K=1\n")
+        extra = ("--grid", str(grid)) if command == "sweep" else ()
+        code = run_cli(command, "--manifest", str(data / "manifest.txt"),
+                       "--K", "1", *extra, "--out", str(out))
+        assert code == EXIT_DATA
+        assert_data_error(capsys, "at least 5 examples, got 4")
+        assert not out.exists()
+
     def test_sweep_K_too_large_is_data_error(self, synth_dir, tmp_path,
                                              capsys):
         grid = tmp_path / "grid.txt"
@@ -614,7 +628,13 @@ class TestFriedman:
         ("method,d1\nm1,0.9\nm2,x\n", "non-numeric accuracy on line 3"),
         ("method,d1,d2\n", "no accuracy rows"),
         ("0.9,0.8\n0.5\n", "ragged accuracy rows"),
-    ], ids=["non_numeric", "header_only", "ragged"])
+        # a data row with a bad cell on line 1 is not a header
+        ("m1,0.9,,0.8\nm2,0.5,0.6,0.7\nm3,0.4,0.3,0.2\n",
+         "non-numeric accuracy on line 1"),
+        ("0.9,,0.8\n0.5,0.6,0.7\n0.4,0.3,0.2\n",
+         "non-numeric accuracy on line 1"),
+    ], ids=["non_numeric", "header_only", "ragged", "named_first_row",
+            "unnamed_first_row"])
     def test_bad_table_is_data_error(self, tmp_path, capsys, text, message):
         table = tmp_path / "table.csv"
         table.write_text(text)

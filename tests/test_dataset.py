@@ -340,3 +340,11 @@ class TestSplits:
         ds = Dataset(features=np.zeros((4, 1)), candidates=((1,),) * 4, c=1)
         with pytest.raises(DataFormatError, match="truth"):
             plan_splits(ds, seed=0)
+
+    def test_every_fold_needs_a_test_example(self):
+        ds = Dataset(features=np.zeros((5, 1)), candidates=((1,),) * 5, c=1,
+                     truth=(1,) * 5)
+        plan = plan_splits(ds, seed=0)
+        assert sorted(plan.folds) == [1, 2, 3, 4, 5]
+        with pytest.raises(DataFormatError, match="at least 5 examples, got 4"):
+            plan_splits(ds.subset(np.arange(4)), seed=0)

@@ -212,8 +212,12 @@ class TestNeighborRule:
 
     # layouts where float32 rounding, underflow or overflow could cost the
     # scan a neighbour; the exact pass sums with graph._sq_dist, whose order
-    # can differ from np.sum's, so the brute force sums with it too
-    @pytest.mark.parametrize("K", [1, 5])
+    # can differ from np.sum's, so the brute force sums with it too. The
+    # scan's slack grows with d, so d runs up to the Soccer Player shape's
+    # 279; an id names d only when it is not 4
+    @pytest.mark.parametrize("K, d", [
+        pytest.param(K, d, id=str(K) if d == 4 else f"{K}-d{d}")
+        for d in (4, 1, 279) for K in (1, 5)])
     @pytest.mark.parametrize("skip_self", [True, False])
     @pytest.mark.parametrize("layout", [
         "offset",  # spread 1e-3 at 1e9: float64 holds about 13 bits of it
@@ -224,9 +228,9 @@ class TestNeighborRule:
         "shell",  # queries at the centre of rows at 1 + 0, 1, 2 or 3e-9
     ])
     def test_nearest_matches_direct_sums_on_hard_layouts(self, rng, layout,
-                                                        skip_self, K):
-        base = rng.normal(size=(150, 4))
-        query = rng.normal(size=(30, 4))
+                                                        skip_self, K, d):
+        base = rng.normal(size=(150, d))
+        query = rng.normal(size=(30, d))
         if layout == "offset":
             base, query = 1e9 + 1e-3 * base, 1e9 + 1e-3 * query
         elif layout == "tiny":

@@ -1,7 +1,8 @@
 """The package's import surface: the root names, the README's use of
-them, and no unused imports."""
+them, the package docstring's module map, and no unused imports."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -50,6 +51,18 @@ def test_readme_names_only_root_exports():
     listed = listed.split("\n\n", 1)[1].split("\n\n", 1)[0]
     assert sorted(re.findall(r"`(\w+)`", listed)) == sorted(
         supersetlabel.__all__)
+
+
+def test_package_docstring_maps_the_modules():
+    # a module deleted or added without its line in the map fails here
+    modules = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+    named = {name.removeprefix("supersetlabel.")
+             for name in re.findall(r"`([\w.]+)`", supersetlabel.__doc__)}
+    assert modules <= named, f"not in the docstring: {sorted(modules - named)}"
+    scopes = [supersetlabel] + [importlib.import_module(f"supersetlabel.{m}")
+                                for m in sorted(modules)]
+    for name in named - modules:
+        assert any(hasattr(scope, name) for scope in scopes), name
 
 
 def imported_names(tree: ast.Module) -> set[str]:
